@@ -33,7 +33,8 @@ fn main() {
             node_limit: cfg.node_cap,
             ..Default::default()
         };
-        let Some((opt, _)) = optimal_stages(l, &machine, &h.ims, Objective::MinMaxLive, limits)
+        let Some((opt, _)) =
+            optimal_stages(l, &machine, &h.ims, Objective::MinMaxLive, None, limits)
         else {
             continue;
         };

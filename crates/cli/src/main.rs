@@ -24,8 +24,11 @@
 //! (`optimod-infeasible.loop`). With `--ii K` the stated II is explained
 //! directly; without it the loop is scheduled first and the last refuted
 //! II (`II* - 1`) is explained. Error-severity findings exit 7, like
-//! `lint`. On the ordinary solve path, `--explain` attaches the same
-//! diagnostics when the whole II span proves infeasible.
+//! `lint`. The cores have no register-pressure term, so `explain` refuses
+//! `--registers` (exit 2). On the ordinary solve path, `--explain`
+//! attaches the same diagnostics when the whole II span proves
+//! infeasible; when a `--registers` cap is what refuted it, the engine
+//! finds the II satisfiable and attaches nothing.
 //!
 //! options:
 //!   --objective <noobj|minreg|minbuff|minlife|minlen>   (default minreg)
@@ -37,12 +40,12 @@
 //!   --threads <n>         branch-and-bound worker threads
 //!                         (default: OPTIMOD_THREADS, else all cores;
 //!                         1 = deterministic serial search)
-//!   --speculate           race II and II+1 solves concurrently
 //!   --portfolio           race the CDCL SAT backend against the ILP at
-//!                         each tentative II (noobj only; first certified
-//!                         answer wins, certified contradictions between
-//!                         the backends fail the run with a minimized
-//!                         repro written to optimod-disagreement.loop)
+//!                         each tentative II (noobj without --registers
+//!                         only; first certified answer wins, certified
+//!                         contradictions between the backends fail the
+//!                         run with a minimized repro written to
+//!                         optimod-disagreement.loop)
 //!   --fallback            degrade to stage-ILP / IMS when the exact
 //!                         solver exhausts its budget slice
 //!   --expand              also print the MVE-expanded pipelined loop
@@ -153,7 +156,6 @@ struct Options {
     registers: Option<u32>,
     max_ii_span: Option<u32>,
     threads: u32,
-    speculate: bool,
     portfolio: bool,
     fallback: bool,
     expand: bool,
@@ -190,7 +192,6 @@ fn parse_args() -> Result<Options, String> {
         registers: None,
         max_ii_span: None,
         threads: 0,
-        speculate: false,
         portfolio: false,
         fallback: false,
         expand: false,
@@ -272,7 +273,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--threads needs a value")?;
                 opts.threads = v.parse().map_err(|_| "--threads must be an integer")?;
             }
-            "--speculate" => opts.speculate = true,
             "--portfolio" => opts.portfolio = true,
             "--fallback" => opts.fallback = true,
             "--expand" => opts.expand = true,
@@ -308,16 +308,27 @@ fn parse_args() -> Result<Options, String> {
 
 const USAGE: &str = "usage: optimod <loop-file> [--objective noobj|minreg|minbuff|minlife|minlen] \
 [--style structured|traditional] [--budget-ms N] [--registers N] [--max-ii-span N] [--threads N] \
-[--speculate] [--portfolio] [--fallback] [--expand] [--lp] [--trace PATH] [--report] [--report-json] \
+[--portfolio] [--fallback] [--expand] [--lp] [--trace PATH] [--report] [--report-json] \
 [--certify] [--chaos SEED] [--analyze] [--no-presolve] [--explain]\n\
        optimod lint <loop-file> [--json] [--style S] [--objective O]\n\
-       optimod explain <loop-file> [--ii K] [--json] [--style S] [--budget-ms N] [--registers N] \
-[--threads N] [--no-presolve]\n\
+       optimod explain <loop-file> [--ii K] [--json] [--style S] [--budget-ms N] [--threads N] \
+[--no-presolve]\n\
        optimod client <loop-file> --socket PATH [--objective O] [--style S] [--deadline-ms N] \
 [--registers N] [--threads N] [--fallback] [--no-cache] [--retries N] [--certify]\n\
        optimod client --socket PATH --ping | --stats | --shutdown\n\
 exit codes: 0 success, 2 usage, 3 parse/validation, 4 scheduling, 5 I/O, 6 certification, \
 7 error-severity finding, 8 daemon/transport";
+
+/// The formulation the CLI's model dump and analyzer passes build: the
+/// scheduler's default schedule-length slack, the requested style and cap.
+fn formulation(opts: &Options, objective: Objective) -> FormulationConfig {
+    FormulationConfig {
+        dep_style: opts.style,
+        objective,
+        sched_len_slack: SchedulerConfig::default().sched_len_slack,
+        max_live_limit: opts.registers,
+    }
+}
 
 /// Runs both analyzer levels: the DDG lints, then — when the loop is
 /// valid and its MII is formulatable — the ILP presolve findings on a
@@ -332,13 +343,7 @@ fn analyze_findings(l: &Loop, machine: &Machine, opts: &Options) -> Vec<Finding>
     if mii.value() > MAX_SCHEDULABLE_II {
         return findings;
     }
-    let cfg = FormulationConfig {
-        dep_style: opts.style,
-        objective: opts.objective,
-        sched_len_slack: 20,
-        max_live_limit: opts.registers,
-    };
-    if let Some(built) = build_model(l, machine, mii.value(), &cfg) {
+    if let Some(built) = build_model(l, machine, mii.value(), &formulation(opts, opts.objective)) {
         let mut model = built.model.clone();
         let popts = PresolveOptions {
             collect_findings: true,
@@ -571,7 +576,6 @@ fn run_client(opts: &Options) -> Result<(), Failure> {
 fn explain_scheduler_config(opts: &Options) -> SchedulerConfig {
     let mut cfg =
         SchedulerConfig::new(opts.style, Objective::FirstFeasible).with_time_limit(opts.budget);
-    cfg.register_limit = opts.registers;
     cfg.presolve = opts.presolve;
     cfg.limits.threads = opts.threads;
     if let Some(span) = opts.max_ii_span {
@@ -592,12 +596,7 @@ fn report_explanation(
     let mut findings: Vec<Finding> = ex.findings.clone();
     // Cross-link rather than duplicate: an OM104 clique that *is* an
     // over-subscribed core row becomes a pointer to its OM201 finding.
-    let fcfg = FormulationConfig {
-        dep_style: opts.style,
-        objective: Objective::FirstFeasible,
-        sched_len_slack: 20,
-        max_live_limit: opts.registers,
-    };
+    let fcfg = formulation(opts, Objective::FirstFeasible);
     if let Some(built) = build_model(l, machine, ex.ii, &fcfg) {
         let mut model = built.model.clone();
         let popts = PresolveOptions {
@@ -639,6 +638,14 @@ fn report_explanation(
 /// refuted II (`II* - 1`) is explained — the tightest "why not one better"
 /// question. Error-severity findings exit 7, like `lint`.
 fn run_explain(opts: &Options, l: &Loop, machine: &Machine) -> Result<(), Failure> {
+    if opts.registers.is_some() {
+        return Err(Failure::Usage(
+            "explain does not take --registers: its unsat cores are over dependence edges and \
+             MRT rows only, with no register-pressure (MaxLive) term, so it cannot tell \
+             whether a register cap is what makes an II infeasible"
+                .into(),
+        ));
+    }
     let cfg = explain_scheduler_config(opts);
     let ii = match opts.ii {
         Some(0) => return Err(Failure::Usage("--ii must be at least 1".into())),
@@ -733,12 +740,7 @@ fn run() -> Result<(), Failure> {
     );
 
     if opts.lp {
-        let cfg = FormulationConfig {
-            dep_style: opts.style,
-            objective: opts.objective,
-            sched_len_slack: 20,
-            max_live_limit: opts.registers,
-        };
+        let cfg = formulation(&opts, opts.objective);
         let built = build_model(&l, &machine, mii.value(), &cfg).ok_or_else(|| {
             Failure::Scheduling("MII below the recurrence bound — no model".into())
         })?;
@@ -750,7 +752,6 @@ fn run() -> Result<(), Failure> {
     cfg.register_limit = opts.registers;
     cfg.presolve = opts.presolve;
     cfg.limits.threads = opts.threads;
-    cfg.speculate_ii = opts.speculate;
     cfg.portfolio = opts.portfolio;
     cfg.explain = opts.explain;
     if let Some(span) = opts.max_ii_span {

@@ -189,4 +189,25 @@ fn explain_subcommand_returns_the_finding_code_on_infeasible_ii() {
         "stderr: {}",
         String::from_utf8_lossy(&ok.stderr)
     );
+
+    // The explanation engine has no MaxLive term: at a cap of 6, figure1
+    // has no schedule at II 2, yet the engine alone would call II 2
+    // feasible. `explain` refuses the cap as a usage error instead.
+    let capped = run(&[
+        "explain",
+        "examples/figure1.loop",
+        "--registers",
+        "6",
+        "--ii",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&capped.stdout);
+    let stderr = String::from_utf8_lossy(&capped.stderr);
+    assert_eq!(
+        capped.status.code(),
+        Some(2),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+    assert!(!stdout.contains("feasible"), "stdout: {stdout}");
+    assert!(stderr.contains("--registers"), "stderr: {stderr}");
 }

@@ -5,26 +5,19 @@
 //! scheduler actually searched — the slot domains come off the built (and,
 //! when enabled, presolved) model, so presolve fixings show up as `OM202`
 //! window groups — emits the `explain` trace phase, and attaches a
-//! greedily minimized replayable `.loop` repro to the explanation,
-//! reusing the portfolio's disagreement-repro machinery.
+//! greedily minimized replayable `.loop` repro to the explanation through
+//! the same repro minimizer the portfolio's disagreement reports use.
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
-use optimod_analyze::{ExplainOptions, ExplainOutcome, Explanation};
+use optimod_analyze::{ExplainOptions, ExplainOutcome, Explanation, PresolveTotals};
 use optimod_ddg::Loop;
 use optimod_machine::Machine;
 use optimod_sat::{encode, solve as sat_solve, EncodeOptions, SatLimits, SatOutcome, SlotDomains};
 use optimod_trace::{Phase, TraceEvent};
 
-use crate::formulation::{build_model, FormulationConfig, Objective};
-use crate::portfolio::{rebuild, render_repro, slot_domains};
-use crate::scheduler::SchedulerConfig;
-
-/// Edge-count ceiling for the greedy repro minimizer, mirroring the
-/// portfolio's: each candidate drop costs a bounded SAT re-check, so huge
-/// graphs ship the unminimized repro rather than stalling the report.
-const REPRO_EDGE_CAP: usize = 64;
+use crate::portfolio::{minimize_repro, slot_domains};
+use crate::scheduler::{OptimalScheduler, SchedulerConfig};
 
 /// Derives [`ExplainOptions`] from a scheduler configuration. The
 /// explanation gets its own bounded wall-clock slice — by the time an
@@ -70,7 +63,8 @@ pub fn explain_at(
     let trace = cfg.limits.trace.clone();
     let _span = trace.span(Phase::Explain);
     trace.emit(|| TraceEvent::ExplainStart { ii });
-    let domains = searched_domains(l, machine, ii, cfg);
+    let probe = OptimalScheduler::probe(cfg);
+    let domains = searched_domains(&probe, l, machine, ii);
     match optimod_analyze::explain_infeasible(l, machine, ii, &domains, opts) {
         ExplainOutcome::Explained(mut ex) => {
             let (raw, min, certified) =
@@ -82,7 +76,24 @@ pub fn explain_at(
                 to: min,
                 certified,
             });
-            ex.repro = Some(minimize_repro(l, machine, ii, cfg, opts, &ex));
+            // Core edges are certified necessary and are never dropped;
+            // every other edge goes while the candidate stays infeasible.
+            let header = [
+                "optimod infeasibility repro (minimized)".to_string(),
+                format!(
+                    "loop {}: no modulo schedule exists at II={ii} ({} core group(s))",
+                    l.name(),
+                    ex.core.len()
+                ),
+                format!("infeasible II: {ii}"),
+            ];
+            ex.repro = Some(minimize_repro(
+                l,
+                machine,
+                &header,
+                &ex.core_edges(),
+                |cand| still_infeasible(&probe, cand, machine, ii, opts),
+            ));
             ExplainOutcome::Explained(ex)
         }
         other => other,
@@ -90,86 +101,21 @@ pub fn explain_at(
 }
 
 /// The slot domains the scheduler's search used at `ii`: stage bounds and
-/// MRT-row binaries read off the built (and presolved, when enabled)
-/// model. Below the RecMII no model exists; the fallback is an
+/// MRT-row binaries read off the model `probe` builds (and presolves, when
+/// enabled). Below the RecMII no model exists; the fallback is an
 /// unrestricted horizon generous enough that infeasibility is never an
 /// artifact of the fallback itself.
-fn searched_domains(l: &Loop, machine: &Machine, ii: u32, cfg: &SchedulerConfig) -> SlotDomains {
-    let fcfg = FormulationConfig {
-        dep_style: cfg.dep_style,
-        objective: Objective::FirstFeasible,
-        sched_len_slack: cfg.sched_len_slack,
-        max_live_limit: cfg.register_limit,
-    };
-    if let Some(mut built) = build_model(l, machine, ii, &fcfg) {
-        if cfg.presolve {
-            let _ = optimod_analyze::presolve(
-                &mut built.model,
-                l,
-                &optimod_analyze::IlpContext {
-                    ii: built.ii,
-                    num_stages: built.num_stages,
-                    a: &built.a,
-                    k: &built.k,
-                },
-                &cfg.presolve_options,
-            );
-        }
+fn searched_domains(probe: &OptimalScheduler, l: &Loop, machine: &Machine, ii: u32) -> SlotDomains {
+    if let Some(built) = probe.build(l, machine, ii, &mut PresolveTotals::default()) {
         return slot_domains(&built);
     }
     // No ASAP times exist at this II (a recurrence already exceeds it), so
     // mirror the formulation's horizon arithmetic over a latency sum that
     // dominates any longest path.
     let total_latency: i64 = l.edges().iter().map(|e| e.latency.max(0)).sum();
-    let max_len = total_latency + i64::from(cfg.sched_len_slack) + 1;
+    let max_len = total_latency + i64::from(probe.config().sched_len_slack) + 1;
     let num_stages = max_len.div_euclid(i64::from(ii)) + 1;
     SlotDomains::unrestricted(l.num_ops(), ii, num_stages)
-}
-
-/// Greedy repro minimizer: drop each dependence edge *not* named by the
-/// core in turn, keeping the drop while the candidate stays infeasible at
-/// `ii` under a bounded SAT re-check. Core edges are certified necessary
-/// and are never candidates. The survivor renders as a replayable `.loop`
-/// text with the explanation's headline in its header.
-fn minimize_repro(
-    l: &Loop,
-    machine: &Machine,
-    ii: u32,
-    cfg: &SchedulerConfig,
-    opts: &ExplainOptions,
-    ex: &Explanation,
-) -> String {
-    let core_edges: BTreeSet<usize> = ex.core_edges().into_iter().collect();
-    let mut keep = vec![true; l.edges().len()];
-    if keep.len() <= REPRO_EDGE_CAP {
-        for e in 0..keep.len() {
-            if core_edges.contains(&e) {
-                continue;
-            }
-            keep[e] = false;
-            let still = rebuild(l, machine, "infeasibility-repro", &keep)
-                .is_some_and(|cand| still_infeasible(&cand, machine, ii, cfg, opts));
-            if !still {
-                keep[e] = true;
-            }
-        }
-    }
-    let header = [
-        "optimod infeasibility repro (minimized)".to_string(),
-        format!(
-            "loop {}: no modulo schedule exists at II={ii} ({} core group(s))",
-            l.name(),
-            ex.core.len()
-        ),
-        format!("infeasible II: {ii}"),
-    ];
-    match rebuild(l, machine, "infeasibility-repro", &keep) {
-        Some(minimized) => render_repro(&minimized, machine, &header),
-        // The rebuilt form should always validate (kept edges are a subset
-        // of a validated loop's); fall back to the original rather than
-        // failing the failure report.
-        None => render_repro(l, machine, &header),
-    }
 }
 
 /// Bounded re-check: is the candidate loop still infeasible at `ii` under
@@ -177,23 +123,22 @@ fn minimize_repro(
 /// recurrence alone exceeds `ii` (no model builds) is infeasible without
 /// solving anything.
 fn still_infeasible(
+    probe: &OptimalScheduler,
     cand: &Loop,
     machine: &Machine,
     ii: u32,
-    cfg: &SchedulerConfig,
     opts: &ExplainOptions,
 ) -> bool {
-    let fcfg = FormulationConfig {
-        dep_style: cfg.dep_style,
-        objective: Objective::FirstFeasible,
-        sched_len_slack: cfg.sched_len_slack,
-        max_live_limit: cfg.register_limit,
-    };
-    if build_model(cand, machine, ii, &fcfg).is_none() {
+    let Some(built) = probe.build(cand, machine, ii, &mut PresolveTotals::default()) else {
         return true;
-    }
-    let domains = searched_domains(cand, machine, ii, cfg);
-    let enc = encode(cand, machine, ii, &domains, &EncodeOptions::default());
+    };
+    let enc = encode(
+        cand,
+        machine,
+        ii,
+        &slot_domains(&built),
+        &EncodeOptions::default(),
+    );
     let limits = SatLimits {
         time_limit: Duration::from_secs(2).min(opts.time_limit),
         conflict_limit: 50_000,

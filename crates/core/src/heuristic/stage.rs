@@ -132,22 +132,25 @@ pub fn stage_schedule(l: &Loop, machine: &Machine, s: &Schedule) -> Schedule {
 }
 
 /// Optimal stage assignment: re-solves the scheduling ILP with every MRT
-/// row pinned to `s`'s rows, minimizing `objective` exactly.
+/// row pinned to `s`'s rows, minimizing `objective` exactly under the
+/// register cap `max_live_limit` (`None`: unlimited registers).
 ///
 /// Returns the schedule and the proven objective value, or `None` when the
-/// solver hits its limits before proving optimality.
+/// solver hits its limits before proving optimality or no stage
+/// assignment fits the cap.
 pub fn optimal_stages(
     l: &Loop,
     machine: &Machine,
     s: &Schedule,
     objective: Objective,
+    max_live_limit: Option<u32>,
     limits: SolveLimits,
 ) -> Option<(Schedule, f64)> {
     let cfg = FormulationConfig {
         dep_style: DepStyle::Structured,
         objective,
         sched_len_slack: 40,
-        max_live_limit: None,
+        max_live_limit,
     };
     let mut built = build_model(l, machine, s.ii(), &cfg)?;
     built.fix_rows(s);
@@ -222,6 +225,7 @@ mod tests {
                 &m,
                 &ims.schedule,
                 Objective::MinMaxLive,
+                None,
                 SolveLimits::default(),
             )
             .expect("small models solve");

@@ -10,7 +10,7 @@ use optimod_ddg::Loop;
 use optimod_machine::Machine;
 
 /// The two components of the minimum initiation interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Mii {
     /// Resource-constrained lower bound.
     pub res_mii: u32,

@@ -28,6 +28,7 @@
 
 use std::time::Duration;
 
+use optimod_analyze::PresolveTotals;
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
 use optimod_ilp::{
     panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus, StopFlag,
@@ -37,9 +38,9 @@ use optimod_sat::{encode, solve as sat_solve, SatLimits, SatOutcome, SatStats, S
 use optimod_trace::TraceEvent;
 
 use crate::error::ScheduleError;
-use crate::formulation::{build_model, BuiltModel, FormulationConfig, Objective};
+use crate::formulation::BuiltModel;
 use crate::schedule::Schedule;
-use crate::scheduler::OptimalScheduler;
+use crate::scheduler::{LoopState, OptimalScheduler};
 
 /// What the SAT backend established about one tentative `II`.
 pub(crate) enum SatVerdict {
@@ -192,29 +193,56 @@ pub(crate) fn render_repro(l: &Loop, machine: &Machine, header: &[String]) -> St
     s
 }
 
-/// Edge-count ceiling for the greedy minimizer: each candidate costs a
-/// bounded SAT + ILP re-solve, so enormous graphs ship unminimized rather
-/// than stalling the failure report.
-const MINIMIZE_EDGE_CAP: usize = 64;
+/// Edge-count ceiling for the greedy repro minimizer: each candidate costs
+/// a bounded re-solve, so enormous graphs ship unminimized rather than
+/// stalling the failure report.
+const REPRO_EDGE_CAP: usize = 64;
+
+/// Greedy edge-dropping minimizer: drop each dependence not in `pinned` in
+/// turn, keeping the drop whenever `reproduces` still holds on the rebuilt
+/// candidate. The survivor renders as a replayable `.loop` text with one
+/// `#` comment per `header` line.
+pub(crate) fn minimize_repro(
+    l: &Loop,
+    machine: &Machine,
+    header: &[String],
+    pinned: &[usize],
+    reproduces: impl Fn(&Loop) -> bool,
+) -> String {
+    let mut keep = vec![true; l.edges().len()];
+    if keep.len() <= REPRO_EDGE_CAP {
+        for e in (0..keep.len()).filter(|e| !pinned.contains(e)) {
+            keep[e] = false;
+            if !rebuild(l, machine, "repro", &keep).is_some_and(|cand| reproduces(&cand)) {
+                keep[e] = true;
+            }
+        }
+    }
+    match rebuild(l, machine, "repro", &keep) {
+        Some(minimized) => render_repro(&minimized, machine, header),
+        // The rebuilt form should always validate (the edges kept are a
+        // subset of a validated loop's); render the original as a
+        // fallback rather than failing the failure report.
+        None => render_repro(l, machine, header),
+    }
+}
 
 impl OptimalScheduler {
-    /// One portfolio attempt at `ii`: both backends under the shared
-    /// budget, with trace tagging and differential arbitration. SAT-side
-    /// statistics (and, on every early-return path, the ILP side's) are
-    /// folded into `stats`; on the [`PortfolioOutcome::Ilp`] path the
-    /// caller absorbs the ILP outcome's statistics itself, exactly as in
-    /// the non-portfolio flow.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of loop-local state
+    /// One portfolio attempt at the built model's `II`: both backends
+    /// under the shared budget, with trace tagging and differential
+    /// arbitration. SAT-side statistics (and, on every early-return path,
+    /// the ILP side's) are folded into `state`; on the
+    /// [`PortfolioOutcome::Ilp`] path the caller absorbs the ILP outcome's
+    /// statistics itself, exactly as in the non-portfolio flow.
     pub(crate) fn portfolio_attempt(
         &self,
         l: &Loop,
         machine: &Machine,
         built: &BuiltModel,
         limits: SolveLimits,
-        ii: u32,
-        stats: &mut SolveStats,
-        sticky_error: &mut Option<ScheduleError>,
+        state: &mut LoopState,
     ) -> PortfolioOutcome {
+        let ii = built.ii;
         let trace = self.config().limits.trace.clone();
         let domains = slot_domains(built);
         if limits.resolve_threads() <= 1 {
@@ -224,26 +252,8 @@ impl OptimalScheduler {
             let sat_res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.sat_attempt(l, machine, ii, &domains, &limits, limits.stop.child())
             }));
-            let (verdict, sat_stats, sat_err) = match sat_res {
-                Ok(t) => t,
-                Err(p) => {
-                    stats.panics_recovered += 1;
-                    sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(
-                        panic_message(p.as_ref()),
-                    )));
-                    (SatVerdict::Unknown, SatStats::default(), None)
-                }
-            };
-            stats.absorb(&as_solve_stats(&sat_stats));
-            if let Some(e) = sat_err {
-                sticky_error.get_or_insert(e);
-            }
-            let verdict_name = verdict.name();
-            trace.emit(|| TraceEvent::BackendResult {
-                backend: "sat",
-                ii,
-                verdict: verdict_name,
-            });
+            let verdict =
+                self.sat_settled(sat_res.map_err(|p| panic_message(p.as_ref())), ii, state);
             if let SatVerdict::Schedule(s) = verdict {
                 trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
                 return PortfolioOutcome::Sat(s);
@@ -255,16 +265,8 @@ impl OptimalScheduler {
                 ii,
                 verdict: ilp_verdict_name(status),
             });
-            if matches!(verdict, SatVerdict::Infeasible) {
-                if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
-                    stats.absorb(&out.stats);
-                    return PortfolioOutcome::Disagreement(err);
-                }
-            }
-            if out.status.has_solution() {
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
-            }
-            return PortfolioOutcome::Ilp(Box::new(out));
+            let sat_unsat = matches!(verdict, SatVerdict::Infeasible);
+            return self.ilp_settled(l, machine, built, out, sat_unsat, state);
         }
 
         // Parallel mode: race the backends, first useful answer cancels
@@ -296,24 +298,7 @@ impl OptimalScheduler {
                 }
             },
         );
-        let (verdict, sat_stats, sat_err) = match outcome.b {
-            Ok(t) => t,
-            Err(msg) => {
-                stats.panics_recovered += 1;
-                sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-                (SatVerdict::Unknown, SatStats::default(), None)
-            }
-        };
-        stats.absorb(&as_solve_stats(&sat_stats));
-        if let Some(e) = sat_err {
-            sticky_error.get_or_insert(e);
-        }
-        let verdict_name = verdict.name();
-        trace.emit(|| TraceEvent::BackendResult {
-            backend: "sat",
-            ii,
-            verdict: verdict_name,
-        });
+        let verdict = self.sat_settled(outcome.b, ii, state);
         let ilp_out = match outcome.a {
             Ok(out) => {
                 let status = out.status;
@@ -325,8 +310,8 @@ impl OptimalScheduler {
                 Some(out)
             }
             Err(msg) => {
-                stats.panics_recovered += 1;
-                sticky_error.get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
+                state.stats.panics_recovered += 1;
+                state.note(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
                 trace.emit(|| TraceEvent::BackendResult {
                     backend: "ilp",
                     ii,
@@ -338,7 +323,7 @@ impl OptimalScheduler {
         match verdict {
             SatVerdict::Schedule(s) => {
                 if let Some(out) = &ilp_out {
-                    stats.absorb(&out.stats);
+                    state.stats.absorb(&out.stats);
                     if out.status == SolveStatus::Infeasible {
                         let detail = "sat produced a certified schedule but the ilp proved \
                                       the same II infeasible"
@@ -365,18 +350,66 @@ impl OptimalScheduler {
                         error: None,
                     }));
                 };
-                if matches!(verdict, SatVerdict::Infeasible) {
-                    if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
-                        stats.absorb(&out.stats);
-                        return PortfolioOutcome::Disagreement(err);
-                    }
-                }
-                if out.status.has_solution() {
-                    trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
-                }
-                PortfolioOutcome::Ilp(Box::new(out))
+                let sat_unsat = matches!(verdict, SatVerdict::Infeasible);
+                self.ilp_settled(l, machine, built, out, sat_unsat, state)
             }
         }
+    }
+
+    /// Folds one SAT run — or the panic that ended it — into `state` and
+    /// the trace, returning its verdict.
+    fn sat_settled(
+        &self,
+        run: Result<(SatVerdict, SatStats, Option<ScheduleError>), String>,
+        ii: u32,
+        state: &mut LoopState,
+    ) -> SatVerdict {
+        let (verdict, sat_stats, sat_err) = run.unwrap_or_else(|msg| {
+            state.stats.panics_recovered += 1;
+            state.note(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
+            (SatVerdict::Unknown, SatStats::default(), None)
+        });
+        state.stats.absorb(&as_solve_stats(&sat_stats));
+        if let Some(e) = sat_err {
+            state.note(e);
+        }
+        let verdict_name = verdict.name();
+        self.config()
+            .limits
+            .trace
+            .emit(|| TraceEvent::BackendResult {
+                backend: "sat",
+                ii,
+                verdict: verdict_name,
+            });
+        verdict
+    }
+
+    /// The ILP's outcome is authoritative unless a SAT unsat proof
+    /// (`sat_unsat`) contradicts a certified ILP schedule.
+    fn ilp_settled(
+        &self,
+        l: &Loop,
+        machine: &Machine,
+        built: &BuiltModel,
+        out: SolveOutcome,
+        sat_unsat: bool,
+        state: &mut LoopState,
+    ) -> PortfolioOutcome {
+        let ii = built.ii;
+        if sat_unsat {
+            if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
+                state.stats.absorb(&out.stats);
+                return PortfolioOutcome::Disagreement(err);
+            }
+        }
+        if out.status.has_solution() {
+            self.config()
+                .limits
+                .trace
+                .emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
+        }
+        PortfolioOutcome::Ilp(Box::new(out))
     }
 
     /// Runs the SAT backend once at `ii`: encode (under the configured
@@ -478,58 +511,27 @@ impl OptimalScheduler {
     }
 
     /// Builds the [`ScheduleError::BackendDisagreement`], minimizing the
-    /// instance first.
+    /// instance first: an edge drop is kept whenever the (bounded) re-check
+    /// still shows a certified contradiction at `ii`.
     fn disagreement(&self, l: &Loop, machine: &Machine, ii: u32, detail: String) -> ScheduleError {
-        let repro = self.minimize_disagreement(l, machine, ii, &detail);
-        ScheduleError::BackendDisagreement { ii, detail, repro }
-    }
-
-    /// Greedy edge-dropping minimizer: drop each dependence in turn,
-    /// keeping the drop whenever the (bounded) re-check still shows a
-    /// certified contradiction at `ii`. The survivor renders as a
-    /// replayable `.loop` text.
-    fn minimize_disagreement(&self, l: &Loop, machine: &Machine, ii: u32, detail: &str) -> String {
-        let mut keep = vec![true; l.edges().len()];
-        if keep.len() <= MINIMIZE_EDGE_CAP {
-            for e in 0..keep.len() {
-                keep[e] = false;
-                let still_disagrees = rebuild(l, machine, "disagreement-repro", &keep)
-                    .is_some_and(|cand| self.disagreement_persists(&cand, machine, ii));
-                if !still_disagrees {
-                    keep[e] = true;
-                }
-            }
-        }
         let header = [
             "optimod cross-backend disagreement repro (minimized)".to_string(),
-            detail.to_string(),
+            detail.clone(),
             format!("disagreeing II: {ii}"),
         ];
-        match rebuild(l, machine, "disagreement-repro", &keep) {
-            Some(minimized) => render_repro(&minimized, machine, &header),
-            // The rebuilt form should always validate (the edges kept are a
-            // subset of a validated loop's); render the original as a
-            // fallback rather than failing the failure report.
-            None => render_repro(l, machine, &header),
-        }
+        let probe = OptimalScheduler::probe(self.config());
+        let repro = minimize_repro(l, machine, &header, &[], |cand| {
+            probe.disagreement_persists(cand, machine, ii)
+        });
+        ScheduleError::BackendDisagreement { ii, detail, repro }
     }
 
     /// Bounded re-check of a candidate instance: do the two backends still
     /// contradict each other with certified verdicts at `ii`?
     fn disagreement_persists(&self, l: &Loop, machine: &Machine, ii: u32) -> bool {
-        let cfg = FormulationConfig {
-            dep_style: self.config().dep_style,
-            objective: Objective::FirstFeasible,
-            sched_len_slack: self.config().sched_len_slack,
-            max_live_limit: None,
-        };
-        let Some(mut built) = build_model(l, machine, ii, &cfg) else {
+        let Some(built) = self.build(l, machine, ii, &mut PresolveTotals::default()) else {
             return false;
         };
-        if self.config().presolve {
-            let mut totals = optimod_analyze::PresolveTotals::default();
-            self.presolve_model(l, &mut built, &mut totals);
-        }
         let domains = slot_domains(&built);
         let enc = encode(l, machine, ii, &domains, &self.config().sat_encode);
         let sat_limits = SatLimits {

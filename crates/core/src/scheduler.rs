@@ -15,13 +15,14 @@ use optimod_ilp::{
     SolveStatus,
 };
 use optimod_machine::Machine;
-use optimod_trace::{Phase, TraceEvent};
+use optimod_trace::{Phase, Trace, TraceEvent};
 
 use crate::error::ScheduleError;
-use crate::formulation::{build_model, DepStyle, FormulationConfig, Objective};
+use crate::formulation::{build_model, BuiltModel, DepStyle, FormulationConfig, Objective};
 use crate::heuristic::ims::{ims_schedule, ImsConfig};
 use crate::heuristic::stage::{optimal_stages, stage_schedule};
 use crate::mii::{compute_mii, Mii};
+use crate::portfolio::PortfolioOutcome;
 use crate::schedule::Schedule;
 
 /// Largest MII the scheduler will attempt to formulate. The ILP carries
@@ -173,23 +174,14 @@ pub struct SchedulerConfig {
     /// Hard register-file constraint (`MaxLive <= limit`); `None` means
     /// unlimited registers, as in the paper's experiments.
     pub register_limit: Option<u32>,
-    /// Race `II` and `II + 1` speculatively on separate threads (each racer
-    /// gets half the worker budget). When the tentative `II` proves
-    /// infeasible — the common case until the achievable `II` is reached —
-    /// the `II + 1` result is already in hand; when `II` succeeds the
-    /// speculative racer is cancelled through its [`optimod_ilp::StopFlag`].
-    /// Off by default: speculation burns extra CPU and makes per-loop node
-    /// counts nondeterministic, so experiments keep it disabled. Ignored
-    /// when [`Self::portfolio`] is active — the portfolio already fills the
-    /// spare workers with the SAT backend.
-    pub speculate_ii: bool,
     /// Cross-backend portfolio: at each tentative `II`, ask the
     /// `optimod-sat` CDCL backend and the ILP the same feasibility
     /// question, first certified answer wins, and a differential oracle
     /// fails the run on any certified contradiction (see
     /// [`ScheduleError::BackendDisagreement`]). Only active for
-    /// [`Objective::FirstFeasible`] — SAT has no objective — other
-    /// objectives silently run ILP-only. With one worker thread the
+    /// [`Objective::FirstFeasible`] without a [`Self::register_limit`] —
+    /// the CNF has neither an objective nor a MaxLive term — otherwise the
+    /// run is silently ILP-only. With one worker thread the
     /// backends run serially (SAT first, deterministic); with more they
     /// race. Off by default.
     pub portfolio: bool,
@@ -228,7 +220,6 @@ impl Default for SchedulerConfig {
             sched_len_slack: 20,
             max_ii_span: 64,
             register_limit: None,
-            speculate_ii: false,
             portfolio: false,
             sat_encode: optimod_sat::EncodeOptions::default(),
             fallback: FallbackConfig::default(),
@@ -328,6 +319,106 @@ pub struct LoopResult {
     pub explanation: Option<Explanation>,
 }
 
+/// Per-loop scheduling state: everything a result carries besides its
+/// schedule, accumulated while `II` escalates.
+pub(crate) struct LoopState {
+    mii: Mii,
+    start: Instant,
+    /// Wall-clock budget of the `II` escalation, measured from `start`.
+    budget: Duration,
+    pub(crate) stats: SolveStats,
+    presolve: PresolveTotals,
+    /// First abnormal-but-survivable condition seen (a backend panic, a
+    /// stalled LP); reported even when a later attempt succeeds.
+    error: Option<ScheduleError>,
+}
+
+impl LoopState {
+    fn new(mii: Mii, start: Instant, budget: Duration) -> Self {
+        LoopState {
+            mii,
+            start,
+            budget,
+            stats: SolveStats::default(),
+            presolve: PresolveTotals::default(),
+            error: None,
+        }
+    }
+
+    /// Records `error` unless an earlier one is already recorded.
+    pub(crate) fn note(&mut self, error: ScheduleError) {
+        self.error.get_or_insert(error);
+    }
+
+    /// The one constructor of unscheduled results.
+    fn unscheduled(self, status: LoopStatus) -> LoopResult {
+        LoopResult {
+            status,
+            mii: self.mii,
+            ii: None,
+            schedule: None,
+            objective_value: None,
+            stats: SolveStats {
+                wall_time: self.start.elapsed(),
+                ..self.stats
+            },
+            provenance: None,
+            presolve: self.presolve,
+            error: self.error,
+            explanation: None,
+        }
+    }
+}
+
+/// A certified schedule and the claims it is reported with.
+struct Found {
+    schedule: Schedule,
+    status: LoopStatus,
+    objective_value: Option<f64>,
+    provenance: Provenance,
+}
+
+impl Found {
+    /// A certified schedule from the portfolio's SAT backend: `Optimal`,
+    /// since the portfolio runs only without a secondary objective, where
+    /// the first feasible schedule at the first feasible `II` *is* the
+    /// optimum.
+    fn sat(schedule: Schedule) -> Self {
+        Found {
+            schedule,
+            status: LoopStatus::Optimal,
+            objective_value: None,
+            provenance: Provenance::SatExact,
+        }
+    }
+
+    /// This schedule on top of an unscheduled result, keeping its solver
+    /// statistics and recorded error.
+    fn onto(self, base: LoopResult) -> LoopResult {
+        LoopResult {
+            status: self.status,
+            ii: Some(self.schedule.ii()),
+            schedule: Some(self.schedule),
+            objective_value: self.objective_value,
+            provenance: Some(self.provenance),
+            ..base
+        }
+    }
+}
+
+/// What one tentative `II` settled.
+enum Decision {
+    /// A certified schedule at this `II`.
+    Scheduled(Found),
+    /// No schedule exists at this `II`: escalate.
+    Infeasible,
+    /// A budget, the node cap or cancellation stopped the search
+    /// undecided.
+    Limit,
+    /// The pipeline failed abnormally, with its typed cause.
+    Failed(ScheduleError),
+}
+
 /// An optimal modulo scheduler (NoObj / MinReg / MinBuff / MinLife /
 /// MinSchedLen depending on [`SchedulerConfig::objective`]).
 ///
@@ -365,39 +456,20 @@ impl OptimalScheduler {
     /// The input is validated first; a malformed loop yields
     /// [`LoopStatus::Invalid`] with the cause in [`LoopResult::error`].
     ///
-    /// With [`SchedulerConfig::speculate_ii`] set (and more than one worker
-    /// thread available), `II` and `II + 1` are solved concurrently at each
-    /// escalation step; the `II + 1` racer is cancelled cooperatively when
-    /// `II` succeeds, and consulted when `II` proves infeasible.
-    ///
     /// With [`SchedulerConfig::fallback`] enabled, an exact attempt that
     /// runs out of budget (or fails abnormally) degrades down the ladder —
     /// stage-scheduler ILP, then plain IMS — instead of returning without a
     /// schedule; [`LoopResult::provenance`] records the producing rung.
     pub fn schedule(&self, l: &Loop, machine: &Machine) -> LoopResult {
         let start = Instant::now();
+        let total = self.config.limits.time_limit;
         // Validate before anything touches the graph: even the MII
         // computation indexes operations through edges, so a dangling
         // endpoint would panic there.
         if let Err(e) = l.validate() {
-            return LoopResult {
-                status: LoopStatus::Invalid,
-                mii: Mii {
-                    res_mii: 0,
-                    rec_mii: 0,
-                },
-                ii: None,
-                schedule: None,
-                objective_value: None,
-                stats: SolveStats {
-                    wall_time: start.elapsed(),
-                    ..Default::default()
-                },
-                provenance: None,
-                presolve: PresolveTotals::default(),
-                error: Some(ScheduleError::InvalidLoop(e)),
-                explanation: None,
-            };
+            let mut state = LoopState::new(Mii::default(), start, total);
+            state.error = Some(ScheduleError::InvalidLoop(e));
+            return state.unscheduled(LoopStatus::Invalid);
         }
         let mii = compute_mii(l, machine);
         if mii.value() > MAX_SCHEDULABLE_II {
@@ -405,53 +477,26 @@ impl OptimalScheduler {
             // satisfies (latency sums near the validation cap). Refuse it
             // up front: neither the ILP nor the heuristics could represent
             // a schedule that long.
-            return LoopResult {
-                status: LoopStatus::Invalid,
-                mii,
-                ii: None,
-                schedule: None,
-                objective_value: None,
-                stats: SolveStats {
-                    wall_time: start.elapsed(),
-                    ..Default::default()
-                },
-                provenance: None,
-                presolve: PresolveTotals::default(),
-                error: Some(ScheduleError::MiiOverflow { mii: mii.value() }),
-                explanation: None,
-            };
+            let mut state = LoopState::new(mii, start, total);
+            state.error = Some(ScheduleError::MiiOverflow { mii: mii.value() });
+            return state.unscheduled(LoopStatus::Invalid);
         }
         let fb = self.config.fallback;
         if !fb.enabled {
-            return self.schedule_exact(l, machine, start, mii, self.config.limits.time_limit);
+            return self.schedule_exact(l, machine, LoopState::new(mii, start, total));
         }
         if fb.skip_exact {
             // Brownout: enter the ladder directly, with a base result that
             // reports the exact rung as budget-starved (which, under
             // overload, it is). If even the ladder fails, the caller sees a
             // retryable TimedOut, never a fabricated proof.
-            let base = LoopResult {
-                status: LoopStatus::TimedOut,
-                mii,
-                ii: None,
-                schedule: None,
-                objective_value: None,
-                stats: SolveStats {
-                    wall_time: start.elapsed(),
-                    ..Default::default()
-                },
-                provenance: None,
-                presolve: PresolveTotals::default(),
-                error: None,
-                explanation: None,
-            };
+            let base = LoopState::new(mii, start, total).unscheduled(LoopStatus::TimedOut);
             return self.degrade(l, machine, start, base);
         }
 
         // Rung 1: the exact solver on its slice of the budget.
-        let total = self.config.limits.time_limit;
         let exact_budget = budget_share(total, fb.exact_share);
-        let exact = self.schedule_exact(l, machine, start, mii, exact_budget);
+        let exact = self.schedule_exact(l, machine, LoopState::new(mii, start, exact_budget));
         if exact.status.scheduled() || exact.status == LoopStatus::Infeasible {
             // A schedule, or a *proof* that none exists in the II span —
             // either way the ladder has nothing to add.
@@ -467,10 +512,9 @@ impl OptimalScheduler {
         l: &Loop,
         machine: &Machine,
         start: Instant,
-        exact: LoopResult,
+        mut exact: LoopResult,
     ) -> LoopResult {
         let trace = self.config.limits.trace.clone();
-        let mut result = exact;
         let ims_cfg = ImsConfig {
             max_ii_span: self.config.max_ii_span,
             ..Default::default()
@@ -482,383 +526,214 @@ impl OptimalScheduler {
         let Some(ims) = ims else {
             // Not even the heuristic finds a schedule: report the exact
             // attempt's outcome unchanged.
-            result.stats.wall_time = start.elapsed();
-            return result;
+            exact.stats.wall_time = start.elapsed();
+            return exact;
         };
 
         // Rung 2: pin the IMS rows and let the ILP place stages optimally
-        // for the configured objective, within the stage slice of whatever
-        // budget remains.
+        // for the configured objective, under the register cap, within the
+        // stage slice of whatever budget remains.
         let total = self.config.limits.time_limit;
         let stage_budget = budget_share(total, self.config.fallback.stage_share);
         let remaining = total.saturating_sub(start.elapsed());
         let limits = SolveLimits {
             time_limit: stage_budget.min(remaining).max(Duration::from_millis(1)),
-            first_solution_only: self.config.objective == Objective::FirstFeasible,
+            first_solution_only: self.first_only(),
             stop: self.config.limits.stop.child(),
             ..self.config.limits.clone()
         };
         trace.emit(|| TraceEvent::Rung { rung: "stage-ilp" });
         let stage_result = {
             let _span = trace.span(Phase::StageIlp);
-            optimal_stages(l, machine, &ims.schedule, self.config.objective, limits)
-        };
-        if let Some((schedule, obj)) = stage_result {
-            return self.degraded(
+            optimal_stages(
                 l,
                 machine,
-                result,
-                schedule,
-                Provenance::StageIlp,
-                Some(obj),
-                start,
-            );
-        }
-
-        // Rung 3: greedy stage improvement of the raw IMS schedule. Pure
-        // combinatorics — always lands, regardless of budget state.
-        trace.emit(|| TraceEvent::Rung { rung: "ims" });
-        let schedule = {
-            let _span = trace.span(Phase::Ims);
-            stage_schedule(l, machine, &ims.schedule)
+                &ims.schedule,
+                self.config.objective,
+                self.config.register_limit,
+                limits,
+            )
         };
-        self.degraded(l, machine, result, schedule, Provenance::Ims, None, start)
+        let found = match stage_result {
+            Some((schedule, obj)) => Found {
+                schedule,
+                status: LoopStatus::FeasibleOnly,
+                objective_value: (!self.first_only()).then(|| round_integral(obj)),
+                provenance: Provenance::StageIlp,
+            },
+            None => {
+                // Rung 3: greedy stage improvement of the raw IMS schedule.
+                // Pure combinatorics — always lands, regardless of budget
+                // state.
+                trace.emit(|| TraceEvent::Rung { rung: "ims" });
+                let _span = trace.span(Phase::Ims);
+                Found {
+                    schedule: stage_schedule(l, machine, &ims.schedule),
+                    status: LoopStatus::FeasibleOnly,
+                    objective_value: None,
+                    provenance: Provenance::Ims,
+                }
+            }
+        };
+        self.degraded(l, machine, exact, found, start)
     }
 
     /// Packages a ladder-produced schedule on top of the exact attempt's
-    /// result (keeping its solver statistics and recorded error).
-    #[allow(clippy::too_many_arguments)] // internal plumbing of loop-local state
+    /// result (keeping its solver statistics and recorded error). This is
+    /// the one exit of every degraded rung.
     fn degraded(
         &self,
         l: &Loop,
         machine: &Machine,
         mut base: LoopResult,
-        schedule: Schedule,
-        rung: Provenance,
-        obj: Option<f64>,
+        found: Found,
         start: Instant,
     ) -> LoopResult {
+        base.stats.wall_time = start.elapsed();
+        // IMS knows nothing of the register file: a schedule over the cap
+        // is withheld, exactly as if the rung had found nothing.
+        if let Some(cap) = self.config.register_limit {
+            if found.schedule.max_live(l) > cap {
+                return base;
+            }
+        }
         // Ladder schedules get the same exact-arithmetic certification as
         // exact ones (constraints only: the heuristics claim no optimality
         // and no objective). A refused schedule is withheld, not emitted.
         let trace = &self.config.limits.trace;
+        let ii = found.schedule.ii();
         let claim = optimod_verify::Claim {
             graph: l,
             machine,
-            ii: schedule.ii(),
-            times: schedule.times(),
+            ii,
+            times: found.schedule.times(),
             claimed_optimal: false,
             claimed_objective: None,
             exact_objective: None,
             claimed_bound: None,
         };
         if let Err(cert) = optimod_verify::certify(&claim) {
-            let ii = schedule.ii();
             trace.emit(|| TraceEvent::Certified { ii, ok: false });
             base.status = LoopStatus::Failed;
-            base.ii = None;
-            base.schedule = None;
-            base.objective_value = None;
-            base.provenance = None;
             base.error = Some(ScheduleError::Certification(cert));
-            base.stats.wall_time = start.elapsed();
             return base;
         }
-        let ii = schedule.ii();
         trace.emit(|| TraceEvent::Certified { ii, ok: true });
-        base.status = LoopStatus::FeasibleOnly;
-        base.ii = Some(schedule.ii());
-        base.objective_value = if self.config.objective == Objective::FirstFeasible {
-            None
-        } else {
-            obj.map(round_integral)
-        };
-        base.schedule = Some(schedule);
-        base.provenance = Some(rung);
-        base.stats.wall_time = start.elapsed();
-        base
+        found.onto(base)
     }
 
-    /// The exact (rung-1) scheduler: MII, per-`II` solve, `II` escalation,
-    /// bounded by `time_budget`.
-    fn schedule_exact(
-        &self,
-        l: &Loop,
-        machine: &Machine,
-        start: Instant,
-        mii: Mii,
-        time_budget: Duration,
-    ) -> LoopResult {
-        let mut stats = SolveStats::default();
-        let mut presolve_totals = PresolveTotals::default();
-        let trace = self.config.limits.trace.clone();
-        trace.emit(|| TraceEvent::Rung { rung: "exact" });
-        // First abnormal-but-survivable condition seen (a racer panic, a
-        // stalled LP); reported even when a later attempt succeeds.
-        let mut sticky_error: Option<ScheduleError> = None;
-        let cfg = FormulationConfig {
-            dep_style: self.config.dep_style,
-            objective: self.config.objective,
-            sched_len_slack: self.config.sched_len_slack,
-            max_live_limit: self.config.register_limit,
-        };
-        let first_only = self.config.objective == Objective::FirstFeasible;
-
-        let give_up = |status: LoopStatus,
-                       mut stats: SolveStats,
-                       presolve: PresolveTotals,
-                       error: Option<ScheduleError>| {
-            stats.wall_time = start.elapsed();
-            LoopResult {
-                status,
-                mii,
-                ii: None,
-                schedule: None,
-                objective_value: None,
-                stats,
-                provenance: None,
-                presolve,
-                error,
-                explanation: None,
-            }
-        };
-
+    /// The exact (rung-1) scheduler: one decision per tentative `II`,
+    /// escalating from the MII while the decision is "infeasible".
+    fn schedule_exact(&self, l: &Loop, machine: &Machine, mut state: LoopState) -> LoopResult {
+        self.config
+            .limits
+            .trace
+            .emit(|| TraceEvent::Rung { rung: "exact" });
         // Saturating: `max_ii_span` is caller-controlled, and the sum only
         // bounds the escalation loop — clamping it to `u32::MAX` merely
         // means "escalate until another limit stops us".
-        let end_ii = mii.value().saturating_add(self.config.max_ii_span);
-        let mut ii = mii.value();
-        while ii <= end_ii {
-            let elapsed = start.elapsed();
-            if elapsed >= time_budget
-                || stats.bb_nodes >= self.config.limits.node_limit
-                || self.config.limits.stop.is_stopped()
-            {
-                return give_up(LoopStatus::TimedOut, stats, presolve_totals, sticky_error);
-            }
-            trace.emit(|| TraceEvent::IiAttempt { ii });
-            let built = {
-                let _span = trace.span(Phase::Formulation);
-                build_model(l, machine, ii, &cfg)
-            };
-            let Some(mut built) = built else {
-                ii += 1;
-                continue; // below RecMII (possible only via direct calls)
-            };
-            if self.config.presolve {
-                self.presolve_model(l, &mut built, &mut presolve_totals);
-            }
-            // Saturating: `elapsed` keeps advancing between the budget
-            // check above and here, so a plain subtraction could underflow
-            // under a racing clock.
-            let limits = SolveLimits {
-                time_limit: time_budget.saturating_sub(elapsed),
-                node_limit: self.config.limits.node_limit.saturating_sub(stats.bb_nodes),
-                first_solution_only: first_only,
-                ..self.config.limits.clone()
-            };
-
-            // Speculation: solve `ii + 1` concurrently on half the workers.
-            let threads = limits.resolve_threads();
-            let mut speculative = None;
-            let portfolio = self.config.portfolio && first_only;
-            let search_span = trace.span(Phase::Search);
-            let out = if portfolio {
-                // Cross-backend portfolio: SAT and the ILP decide the same
-                // II, the differential oracle arbitrating. A SAT win or a
-                // disagreement returns from here; the ILP path falls
-                // through to the ordinary escalation logic below.
-                match self.portfolio_attempt(
-                    l,
-                    machine,
-                    &built,
-                    limits,
-                    ii,
-                    &mut stats,
-                    &mut sticky_error,
-                ) {
-                    crate::portfolio::PortfolioOutcome::Ilp(out) => *out,
-                    crate::portfolio::PortfolioOutcome::Sat(schedule) => {
-                        drop(search_span);
-                        return self.sat_scheduled(
-                            mii,
-                            ii,
-                            schedule,
-                            stats,
-                            presolve_totals,
-                            start,
-                            sticky_error,
-                        );
-                    }
-                    crate::portfolio::PortfolioOutcome::Disagreement(err) => {
-                        drop(search_span);
-                        return give_up(LoopStatus::Failed, stats, presolve_totals, Some(err));
-                    }
+        let end_ii = state.mii.value().saturating_add(self.config.max_ii_span);
+        for ii in state.mii.value()..=end_ii {
+            match self.decide(l, machine, ii, &mut state) {
+                Decision::Scheduled(found) => {
+                    let base = state.unscheduled(found.status);
+                    return found.onto(base);
                 }
-            } else if self.config.speculate_ii && threads > 1 && ii < end_ii {
-                if let Some(mut built_next) = build_model(l, machine, ii + 1, &cfg) {
-                    if self.config.presolve {
-                        self.presolve_model(l, &mut built_next, &mut presolve_totals);
+                Decision::Infeasible => {}
+                Decision::Limit => return state.unscheduled(LoopStatus::TimedOut),
+                Decision::Failed(e) => {
+                    state.error = Some(e);
+                    return state.unscheduled(LoopStatus::Failed);
+                }
+            }
+        }
+        // Every II in [mii, end_ii] was refuted; explain the ceiling — the
+        // largest II the caller allowed, hence the hardest one to blame on
+        // a single constraint by accident. With a register cap the engine
+        // (which has no MaxLive term) finds the ceiling satisfiable when
+        // the cap is what refuted it, and attaches nothing.
+        let explanation = if self.config.explain {
+            crate::explain::explain_infeasibility(l, machine, end_ii, &self.config)
+        } else {
+            None
+        };
+        LoopResult {
+            explanation,
+            ..state.unscheduled(LoopStatus::Infeasible)
+        }
+    }
+
+    /// Decides one tentative `II`: build (and presolve) its model, search
+    /// it with the ILP — or the portfolio — and extract and certify a
+    /// schedule when one is found. Effort and survivable errors accumulate
+    /// in `state`.
+    fn decide(&self, l: &Loop, machine: &Machine, ii: u32, state: &mut LoopState) -> Decision {
+        let trace = &self.config.limits.trace;
+        let elapsed = state.start.elapsed();
+        if elapsed >= state.budget
+            || state.stats.bb_nodes >= self.config.limits.node_limit
+            || self.config.limits.stop.is_stopped()
+        {
+            return Decision::Limit;
+        }
+        trace.emit(|| TraceEvent::IiAttempt { ii });
+        let Some(built) = self.build(l, machine, ii, &mut state.presolve) else {
+            return Decision::Infeasible; // below RecMII (possible only via direct calls)
+        };
+        // Saturating: `elapsed` keeps advancing between the budget check
+        // above and here, so a plain subtraction could underflow under a
+        // racing clock.
+        let limits = SolveLimits {
+            time_limit: state.budget.saturating_sub(elapsed),
+            node_limit: self
+                .config
+                .limits
+                .node_limit
+                .saturating_sub(state.stats.bb_nodes),
+            first_solution_only: self.first_only(),
+            ..self.config.limits.clone()
+        };
+        let out = {
+            let _span = trace.span(Phase::Search);
+            if self.portfolio_active() {
+                // Cross-backend portfolio: SAT and the ILP decide the same
+                // II, the differential oracle arbitrating.
+                match self.portfolio_attempt(l, machine, &built, limits, state) {
+                    PortfolioOutcome::Ilp(out) => *out,
+                    PortfolioOutcome::Sat(schedule) => {
+                        return Decision::Scheduled(Found::sat(schedule))
                     }
-                    let half = (threads / 2).max(1) as u32;
-                    let stop_next = self.config.limits.stop.child();
-                    let limits_main = SolveLimits {
-                        threads: half,
-                        stop: self.config.limits.stop.child(),
-                        ..limits.clone()
-                    };
-                    let limits_next = SolveLimits {
-                        threads: half,
-                        stop: stop_next.clone(),
-                        ..limits
-                    };
-                    let (out, race) = std::thread::scope(|scope| {
-                        let racer = scope.spawn(|| built_next.model.solve_with(limits_next));
-                        let out = built.model.solve_with(limits_main);
-                        if out.status != SolveStatus::Infeasible {
-                            // Scheduled at `ii` (or giving up): the
-                            // speculative result will not be consulted.
-                            stop_next.stop();
-                        }
-                        let race = racer.join().map_err(|p| panic_message(p.as_ref()));
-                        (out, race)
-                    });
-                    match race {
-                        Ok(out_next) => {
-                            stats.absorb(&out_next.stats);
-                            speculative = Some((built_next, out_next));
-                        }
-                        Err(msg) => {
-                            // The speculative racer died; its result was
-                            // only ever advisory, so record the panic and
-                            // continue with sequential escalation.
-                            stats.panics_recovered += 1;
-                            sticky_error
-                                .get_or_insert(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-                        }
-                    }
-                    out
-                } else {
-                    built.model.solve_with(limits)
+                    PortfolioOutcome::Disagreement(err) => return Decision::Failed(err),
                 }
             } else {
                 built.model.solve_with(limits)
-            };
-            drop(search_span);
-            stats.absorb(&out.stats);
-            if let Some(e) = &out.error {
-                sticky_error.get_or_insert(ScheduleError::Solver(e.clone()));
             }
-
-            match out.status {
-                SolveStatus::Optimal | SolveStatus::Feasible => {
-                    return self.scheduled(
-                        l,
-                        machine,
-                        &built,
-                        &out,
-                        ii,
-                        mii,
-                        stats,
-                        presolve_totals,
-                        start,
-                        sticky_error,
-                    );
-                }
-                SolveStatus::Infeasible => {
-                    if let Some((built_next, out_next)) = speculative {
-                        if let Some(e) = &out_next.error {
-                            sticky_error.get_or_insert(ScheduleError::Solver(e.clone()));
-                        }
-                        match out_next.status {
-                            SolveStatus::Optimal | SolveStatus::Feasible => {
-                                return self.scheduled(
-                                    l,
-                                    machine,
-                                    &built_next,
-                                    &out_next,
-                                    ii + 1,
-                                    mii,
-                                    stats,
-                                    presolve_totals,
-                                    start,
-                                    sticky_error,
-                                );
-                            }
-                            SolveStatus::Infeasible => {
-                                // Both candidates refuted. Checked: with a
-                                // saturated `end_ii` the increment itself
-                                // could wrap; exhausting u32 means the span
-                                // is exhausted.
-                                match ii.checked_add(2) {
-                                    Some(next) => ii = next,
-                                    None => break,
-                                }
-                                continue;
-                            }
-                            SolveStatus::LimitReached => {
-                                return give_up(
-                                    LoopStatus::TimedOut,
-                                    stats,
-                                    presolve_totals,
-                                    sticky_error,
-                                )
-                            }
-                        }
-                    }
-                    match ii.checked_add(1) {
-                        Some(next) => ii = next,
-                        None => break,
-                    }
-                }
-                SolveStatus::LimitReached => {
-                    return give_up(LoopStatus::TimedOut, stats, presolve_totals, sticky_error)
-                }
+        };
+        state.stats.absorb(&out.stats);
+        if let Some(e) = &out.error {
+            state.note(ScheduleError::Solver(e.clone()));
+        }
+        match out.status {
+            SolveStatus::Optimal | SolveStatus::Feasible => {
+                self.certified(l, machine, &built, &out)
             }
+            SolveStatus::Infeasible => Decision::Infeasible,
+            SolveStatus::LimitReached => Decision::Limit,
         }
-        let mut result = give_up(LoopStatus::Infeasible, stats, presolve_totals, sticky_error);
-        if self.config.explain {
-            // Every II in [mii, end_ii] was refuted; explain the ceiling —
-            // the largest II the caller allowed, hence the hardest one to
-            // blame on a single constraint by accident.
-            result.explanation =
-                crate::explain::explain_infeasibility(l, machine, end_ii, &self.config);
-            result.stats.wall_time = start.elapsed();
-        }
-        result
     }
 
-    /// Packages a successful solve into a [`LoopResult`]. A solution that
-    /// fails to decode or validate yields [`LoopStatus::Failed`] with a
-    /// typed cause instead of panicking.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of loop-local state
-    fn scheduled(
+    /// Extracts and certifies the schedule of a successful solve. A
+    /// solution that fails to decode, validate or certify is a typed
+    /// failure instead of a panic or a wrong answer.
+    fn certified(
         &self,
         l: &Loop,
         machine: &Machine,
-        built: &crate::formulation::BuiltModel,
+        built: &BuiltModel,
         out: &SolveOutcome,
-        ii: u32,
-        mii: Mii,
-        mut stats: SolveStats,
-        presolve: PresolveTotals,
-        start: Instant,
-        sticky_error: Option<ScheduleError>,
-    ) -> LoopResult {
-        let first_only = self.config.objective == Objective::FirstFeasible;
-        stats.wall_time = start.elapsed();
-        let fail = |error: ScheduleError, stats: SolveStats| LoopResult {
-            status: LoopStatus::Failed,
-            mii,
-            ii: None,
-            schedule: None,
-            objective_value: None,
-            stats,
-            provenance: None,
-            presolve,
-            error: Some(error),
-            explanation: None,
-        };
+    ) -> Decision {
+        let first_only = self.first_only();
+        let ii = built.ii;
         let trace = &self.config.limits.trace;
         let schedule = {
             let _span = trace.span(Phase::Extraction);
@@ -879,27 +754,11 @@ impl OptimalScheduler {
                     });
                     match action {
                         FaultAction::Stall => {
-                            return fail(
-                                ScheduleError::MalformedSolution {
-                                    detail: "injected fault: stalled extraction".to_string(),
-                                },
-                                stats,
-                            )
+                            return Decision::Failed(ScheduleError::MalformedSolution {
+                                detail: "injected fault: stalled extraction".to_string(),
+                            })
                         }
-                        FaultAction::SpuriousTimeout => {
-                            return LoopResult {
-                                status: LoopStatus::TimedOut,
-                                mii,
-                                ii: None,
-                                schedule: None,
-                                objective_value: None,
-                                stats,
-                                provenance: None,
-                                presolve,
-                                error: sticky_error,
-                                explanation: None,
-                            }
-                        }
+                        FaultAction::SpuriousTimeout => return Decision::Limit,
                         // A tripped panic never reaches this arm (it is
                         // raised inside `fire`); a perturbation is consumed
                         // by the solver's incumbent path, not here.
@@ -907,12 +766,9 @@ impl OptimalScheduler {
                     }
                 }
                 Err(payload) => {
-                    return fail(
-                        ScheduleError::Solver(SolveError::WorkerPanic(panic_message(
-                            payload.as_ref(),
-                        ))),
-                        stats,
-                    )
+                    return Decision::Failed(ScheduleError::Solver(SolveError::WorkerPanic(
+                        panic_message(payload.as_ref()),
+                    )))
                 }
             }
             let extracted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -920,14 +776,11 @@ impl OptimalScheduler {
             }));
             match extracted {
                 Ok(Ok(s)) => s,
-                Ok(Err(e)) => return fail(e, stats),
+                Ok(Err(e)) => return Decision::Failed(e),
                 Err(payload) => {
-                    return fail(
-                        ScheduleError::Solver(SolveError::WorkerPanic(panic_message(
-                            payload.as_ref(),
-                        ))),
-                        stats,
-                    )
+                    return Decision::Failed(ScheduleError::Solver(SolveError::WorkerPanic(
+                        panic_message(payload.as_ref()),
+                    )))
                 }
             }
         };
@@ -950,93 +803,93 @@ impl OptimalScheduler {
             Ok(_) => trace.emit(|| TraceEvent::Certified { ii, ok: true }),
             Err(cert) => {
                 trace.emit(|| TraceEvent::Certified { ii, ok: false });
-                return fail(ScheduleError::Certification(cert), stats);
+                return Decision::Failed(ScheduleError::Certification(cert));
             }
         }
-        LoopResult {
-            status: if out.status == SolveStatus::Optimal {
+        Decision::Scheduled(Found {
+            schedule,
+            status: if claimed_optimal {
                 LoopStatus::Optimal
             } else {
                 LoopStatus::FeasibleOnly
             },
-            mii,
-            ii: Some(ii),
-            schedule: Some(schedule),
-            objective_value: (!first_only).then(|| round_integral(out.objective)),
-            stats,
-            provenance: Some(Provenance::Exact),
-            presolve,
-            error: sticky_error,
-            explanation: None,
-        }
+            objective_value: claimed_objective,
+            provenance: Provenance::Exact,
+        })
     }
 
-    /// Packages a certified SAT-portfolio schedule into a [`LoopResult`].
-    /// The witness was certified inside the portfolio (the SAT backend is
-    /// untrusted), so this only assembles the result: `Optimal` status —
-    /// the portfolio runs only without a secondary objective, where the
-    /// first feasible schedule at the first feasible `II` *is* the optimum.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of loop-local state
-    fn sat_scheduled(
-        &self,
-        mii: Mii,
-        ii: u32,
-        schedule: Schedule,
-        mut stats: SolveStats,
-        presolve: PresolveTotals,
-        start: Instant,
-        sticky_error: Option<ScheduleError>,
-    ) -> LoopResult {
-        stats.wall_time = start.elapsed();
-        LoopResult {
-            status: LoopStatus::Optimal,
-            mii,
-            ii: Some(ii),
-            schedule: Some(schedule),
-            objective_value: None,
-            stats,
-            provenance: Some(Provenance::SatExact),
-            presolve,
-            error: sticky_error,
-            explanation: None,
-        }
+    /// Whether the search has no secondary objective.
+    fn first_only(&self) -> bool {
+        self.config.objective == Objective::FirstFeasible
     }
 
-    /// Runs the analyzer's presolve over one built model, folding the
-    /// summary into `totals` and emitting a trace event under its own phase
-    /// span.
-    pub(crate) fn presolve_model(
+    /// Whether the portfolio runs: asked for, and the question is one the
+    /// CNF can answer — no secondary objective and no register cap.
+    fn portfolio_active(&self) -> bool {
+        self.config.portfolio && self.first_only() && self.config.register_limit.is_none()
+    }
+
+    /// A feasibility-only twin of `cfg` with tracing off, for the
+    /// questions asked beside a search: [`Self::feasible_at`], the
+    /// portfolio oracle's re-checks and the explanation engine's domains
+    /// and repro minimizer.
+    pub(crate) fn probe(cfg: &SchedulerConfig) -> OptimalScheduler {
+        let mut config = cfg.clone();
+        config.objective = Objective::FirstFeasible;
+        config.limits.trace = Trace::disabled();
+        OptimalScheduler::new(config)
+    }
+
+    /// The one model build: derives the [`FormulationConfig`] from the
+    /// scheduler configuration, builds the model at `ii` and, when
+    /// enabled, runs the analyzer's presolve over it, folding the summary
+    /// into `totals`. `None` below the RecMII.
+    pub(crate) fn build(
         &self,
         l: &Loop,
-        built: &mut crate::formulation::BuiltModel,
+        machine: &Machine,
+        ii: u32,
         totals: &mut PresolveTotals,
-    ) {
+    ) -> Option<BuiltModel> {
         let trace = &self.config.limits.trace;
-        let _span = trace.span(Phase::Presolve);
-        let summary = optimod_analyze::presolve(
-            &mut built.model,
-            l,
-            &IlpContext {
-                ii: built.ii,
-                num_stages: built.num_stages,
-                a: &built.a,
-                k: &built.k,
-            },
-            &self.config.presolve_options,
-        );
-        totals.absorb(&summary);
-        let (rows_eliminated, binaries_fixed, bounds_tightened, infeasible) = (
-            summary.rows_eliminated,
-            summary.binaries_fixed,
-            summary.bounds_tightened,
-            summary.infeasible,
-        );
-        trace.emit(|| TraceEvent::Presolve {
-            rows_eliminated,
-            binaries_fixed,
-            bounds_tightened,
-            infeasible,
-        });
+        let cfg = FormulationConfig {
+            dep_style: self.config.dep_style,
+            objective: self.config.objective,
+            sched_len_slack: self.config.sched_len_slack,
+            max_live_limit: self.config.register_limit,
+        };
+        let mut built = {
+            let _span = trace.span(Phase::Formulation);
+            build_model(l, machine, ii, &cfg)?
+        };
+        if self.config.presolve {
+            let _span = trace.span(Phase::Presolve);
+            let summary = optimod_analyze::presolve(
+                &mut built.model,
+                l,
+                &IlpContext {
+                    ii: built.ii,
+                    num_stages: built.num_stages,
+                    a: &built.a,
+                    k: &built.k,
+                },
+                &self.config.presolve_options,
+            );
+            totals.absorb(&summary);
+            let (rows_eliminated, binaries_fixed, bounds_tightened, infeasible) = (
+                summary.rows_eliminated,
+                summary.binaries_fixed,
+                summary.bounds_tightened,
+                summary.infeasible,
+            );
+            trace.emit(|| TraceEvent::Presolve {
+                rows_eliminated,
+                binaries_fixed,
+                bounds_tightened,
+                infeasible,
+            });
+        }
+        Some(built)
     }
 
     /// Ground-truth integer value of the configured secondary objective on
@@ -1066,32 +919,22 @@ impl OptimalScheduler {
     }
 
     /// Proves or refutes feasibility at one exact `II` (used to grade
-    /// heuristic schedulers: "can II be decreased?").
+    /// heuristic schedulers: "can II be decreased?"), through the same
+    /// per-`II` decision the escalation loop takes.
     ///
-    /// Returns `Some(true)` if a schedule exists at `ii`, `Some(false)` if
-    /// proven infeasible, `None` if the budget ran out undecided.
+    /// Returns `Some(true)` if a certified schedule exists at `ii`,
+    /// `Some(false)` if proven infeasible, `None` if the budget ran out
+    /// undecided or the decision failed abnormally.
     pub fn feasible_at(&self, l: &Loop, machine: &Machine, ii: u32) -> Option<bool> {
-        let cfg = FormulationConfig {
-            dep_style: self.config.dep_style,
-            objective: Objective::FirstFeasible,
-            sched_len_slack: self.config.sched_len_slack,
-            max_live_limit: self.config.register_limit,
-        };
-        let Some(mut built) = build_model(l, machine, ii, &cfg) else {
-            return Some(false); // below RecMII: no schedule of any length
-        };
-        if self.config.presolve {
-            let mut totals = PresolveTotals::default();
-            self.presolve_model(l, &mut built, &mut totals);
-        }
-        let limits = SolveLimits {
-            first_solution_only: true,
-            ..self.config.limits.clone()
-        };
-        match built.model.solve_with(limits).status {
-            SolveStatus::Optimal | SolveStatus::Feasible => Some(true),
-            SolveStatus::Infeasible => Some(false),
-            SolveStatus::LimitReached => None,
+        let mut state = LoopState::new(
+            compute_mii(l, machine),
+            Instant::now(),
+            self.config.limits.time_limit,
+        );
+        match Self::probe(&self.config).decide(l, machine, ii, &mut state) {
+            Decision::Scheduled(_) => Some(true),
+            Decision::Infeasible => Some(false),
+            Decision::Limit | Decision::Failed(_) => None,
         }
     }
 }
@@ -1188,38 +1031,6 @@ mod tests {
         assert_eq!(r.objective_value, Some(6.0));
         assert_eq!(sched.length(), 7);
         assert_eq!(sched.validate(&l, &m), None);
-    }
-
-    #[test]
-    fn speculative_ii_race_matches_sequential_escalation() {
-        let m = example_3fu();
-        for l in [
-            kernels::figure1(&m),
-            kernels::lfk5_tridiag(&m),
-            kernels::dot_product(&m),
-        ] {
-            let baseline = OptimalScheduler::new(SchedulerConfig::default()).schedule(&l, &m);
-            let mut cfg = SchedulerConfig {
-                speculate_ii: true,
-                ..Default::default()
-            };
-            cfg.limits.threads = 2;
-            let raced = OptimalScheduler::new(cfg).schedule(&l, &m);
-            assert_eq!(raced.status, baseline.status, "{}", l.name());
-            assert_eq!(raced.ii, baseline.ii, "{}", l.name());
-            assert_eq!(
-                raced.objective_value,
-                baseline.objective_value,
-                "{}",
-                l.name()
-            );
-            assert_eq!(
-                raced.schedule.unwrap().validate(&l, &m),
-                None,
-                "{}",
-                l.name()
-            );
-        }
     }
 
     #[test]

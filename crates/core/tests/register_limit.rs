@@ -3,7 +3,9 @@
 
 use std::time::Duration;
 
-use optimod::{DepStyle, LoopStatus, Objective, OptimalScheduler, SchedulerConfig};
+use optimod::{
+    DepStyle, FallbackConfig, LoopStatus, Objective, OptimalScheduler, Provenance, SchedulerConfig,
+};
 use optimod_ddg::kernels;
 use optimod_machine::example_3fu;
 
@@ -62,6 +64,49 @@ fn cap_applies_to_noobj() {
     let s = capped.schedule.expect("figure1 schedulable within 7 regs");
     assert!(s.max_live(&l) <= 7, "cap violated: {}", s.max_live(&l));
     assert_eq!(s.validate(&l, &machine), None);
+
+    // The portfolio's CNF has no MaxLive term, so under a cap it must stay
+    // out of the way: the SAT backend would happily return II=2 with
+    // MaxLive 10.
+    let mut cfg = scheduler(Objective::FirstFeasible, Some(6))
+        .config()
+        .clone();
+    cfg.portfolio = true;
+    cfg.limits.threads = 1;
+    let r = OptimalScheduler::new(cfg).schedule(&l, &machine);
+    let s = r.schedule.expect("figure1 schedulable within 6 regs");
+    assert!(s.max_live(&l) <= 6, "cap violated: {}", s.max_live(&l));
+    assert_eq!(r.ii, Some(3), "II=2 needs 7 registers");
+    assert_eq!(r.provenance, Some(Provenance::Exact));
+    assert_eq!(r.stats.sat_decisions + r.stats.sat_propagations, 0);
+}
+
+/// The degraded rungs honour the cap too: the brownout ladder (stage ILP,
+/// then IMS) either returns a schedule within the cap or withholds it and
+/// reports the exact rung's retryable `TimedOut`.
+#[test]
+fn degraded_ladder_respects_the_cap() {
+    let machine = example_3fu();
+    let l = kernels::figure1(&machine);
+    for cap in [6u32, 7] {
+        for objective in [Objective::FirstFeasible, Objective::MinMaxLive] {
+            let mut cfg = scheduler(objective, Some(cap)).config().clone();
+            cfg.fallback = FallbackConfig::degraded_only();
+            let r = OptimalScheduler::new(cfg).schedule(&l, &machine);
+            match &r.schedule {
+                Some(s) => {
+                    assert!(
+                        s.max_live(&l) <= cap,
+                        "cap {cap} violated by {:?}: MaxLive {}",
+                        r.provenance,
+                        s.max_live(&l)
+                    );
+                    assert!(r.provenance.is_some_and(|p| p.degraded()));
+                }
+                None => assert_eq!(r.status, LoopStatus::TimedOut, "cap {cap}"),
+            }
+        }
+    }
 }
 
 /// A generous cap must not change the optimum.
