@@ -60,6 +60,4 @@ pub use explain::{
     cross_link_conflicts, explain_infeasible, ExplainOptions, ExplainOutcome, Explanation,
 };
 pub use lint::{max_severity, Finding, LintCode, Severity};
-pub use presolve::{
-    detect_cliques, presolve, IlpContext, PresolveOptions, PresolveSummary, PresolveTotals,
-};
+pub use presolve::{detect_cliques, presolve, IlpContext, PresolveOptions, PresolveSummary};

@@ -24,7 +24,7 @@
 //!   they are the cliques a conflict-graph branching rule would exploit.
 
 use optimod_ddg::Loop;
-use optimod_ilp::{Model, RowSense, VarId};
+use optimod_ilp::{Model, RowSense, SolveStats, VarId};
 
 use crate::lint::{Finding, LintCode};
 
@@ -95,30 +95,18 @@ pub struct PresolveSummary {
     pub findings: Vec<Finding>,
 }
 
-/// Running totals over every presolve run of a scheduling session
-/// (one scheduler call presolves one model per attempted II).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PresolveTotals {
-    /// Models presolved.
-    pub models: u64,
-    /// Total rows eliminated.
-    pub rows_eliminated: u64,
-    /// Total binaries fixed.
-    pub binaries_fixed: u64,
-    /// Total stage-variable bound tightenings.
-    pub bounds_tightened: u64,
-    /// Models presolve proved infeasible.
-    pub infeasible_models: u64,
-}
-
-impl PresolveTotals {
-    /// Folds one run's summary into the totals.
-    pub fn absorb(&mut self, s: &PresolveSummary) {
-        self.models += 1;
-        self.rows_eliminated += s.rows_eliminated;
-        self.binaries_fixed += s.binaries_fixed;
-        self.bounds_tightened += s.bounds_tightened;
-        self.infeasible_models += u64::from(s.infeasible);
+impl PresolveSummary {
+    /// This run as solver effort: one presolve pass and its reductions in
+    /// the `presolve_*` counters, ready for [`SolveStats::absorb`].
+    pub fn stats(&self) -> SolveStats {
+        SolveStats {
+            presolve_runs: 1,
+            presolve_rows_eliminated: self.rows_eliminated,
+            presolve_binaries_fixed: self.binaries_fixed,
+            presolve_bounds_tightened: self.bounds_tightened,
+            presolve_infeasible: u64::from(self.infeasible),
+            ..SolveStats::default()
+        }
     }
 }
 
@@ -522,21 +510,21 @@ mod tests {
     }
 
     #[test]
-    fn totals_absorb_summaries() {
-        let mut t = PresolveTotals::default();
+    fn summaries_fold_into_solve_stats() {
         let mut s = PresolveSummary {
             rows_eliminated: 3,
             binaries_fixed: 2,
             bounds_tightened: 1,
             ..PresolveSummary::default()
         };
-        t.absorb(&s);
+        let mut t = s.stats();
         s.infeasible = true;
-        t.absorb(&s);
-        assert_eq!(t.models, 2);
-        assert_eq!(t.rows_eliminated, 6);
-        assert_eq!(t.binaries_fixed, 4);
-        assert_eq!(t.bounds_tightened, 2);
-        assert_eq!(t.infeasible_models, 1);
+        t.absorb(&s.stats());
+        assert_eq!(t.presolve_runs, 2);
+        assert_eq!(t.presolve_rows_eliminated, 6);
+        assert_eq!(t.presolve_binaries_fixed, 4);
+        assert_eq!(t.presolve_bounds_tightened, 2);
+        assert_eq!(t.presolve_infeasible, 1);
+        assert_eq!(t.bb_nodes, 0, "presolve does no search");
     }
 }

@@ -119,9 +119,9 @@ fn main() {
             nodes_on += p.stats.bb_nodes;
             iters_off += r.stats.simplex_iterations;
             iters_on += p.stats.simplex_iterations;
-            rows += p.presolve.rows_eliminated;
-            fixed += p.presolve.binaries_fixed;
-            tightened += p.presolve.bounds_tightened;
+            rows += p.stats.presolve_rows_eliminated;
+            fixed += p.stats.presolve_binaries_fixed;
+            tightened += p.stats.presolve_bounds_tightened;
             println!(
                 "{:<20} {:<12} {:>3} {:>10} {:>10} {:>10} {:>10} {:>6} {:>6} {:>6}",
                 l.name(),
@@ -131,9 +131,9 @@ fn main() {
                 p.stats.bb_nodes,
                 r.stats.simplex_iterations,
                 p.stats.simplex_iterations,
-                p.presolve.rows_eliminated,
-                p.presolve.binaries_fixed,
-                p.presolve.bounds_tightened
+                p.stats.presolve_rows_eliminated,
+                p.stats.presolve_binaries_fixed,
+                p.stats.presolve_bounds_tightened
             );
         }
     }

@@ -1,20 +1,21 @@
 //! Trace-derived observability report: runs the MinReg scheduler over the
 //! corpus under both formulations with a per-loop [`MemorySink`] attached,
-//! prints percentile tables (per-phase wall clock, branch-and-bound and LP
-//! counters), and writes `BENCH_trace.json` with the aggregate totals.
+//! prints percentile tables (per-phase wall clock from the traces,
+//! branch-and-bound and LP counters from each loop's `SolveStats`), and
+//! writes `BENCH_trace.json` with the absorbed `SolveStats` totals per
+//! formulation.
 //!
-//! The per-loop solves are single-threaded, so the traced counters are the
-//! same ones `fig2_bb_nodes` and the tables report — the trace layer adds
-//! the *distribution* (p50/p90 skew) that flat totals cannot show.
+//! The per-loop solves are single-threaded, so the counters are the same
+//! ones `fig2_bb_nodes` and the tables report — the trace layer adds the
+//! per-phase time and the *distribution* (p50/p90 skew) that flat totals
+//! cannot show.
 //!
 //! Run: `cargo run --release -p optimod-bench --bin trace_report`
 //! (set `OPTIMOD_CORPUS=medium|full` and `OPTIMOD_BUDGET_MS` to scale up).
 
-use std::fmt::Write as _;
-
 use optimod::{DepStyle, Objective};
-use optimod_bench::{print_trace_percentiles, ExperimentConfig, LoopRecord};
-use optimod_trace::SolveReport;
+use optimod_bench::{print_trace_percentiles, ExperimentConfig};
+use optimod_ilp::SolveStats;
 
 fn style_name(style: DepStyle) -> &'static str {
     match style {
@@ -34,49 +35,39 @@ fn main() {
         cfg.budget.as_millis()
     );
 
-    let mut json = String::from("{\n  \"runs\": [\n");
-    let styles = [DepStyle::Traditional, DepStyle::Structured];
-    for (si, style) in styles.into_iter().enumerate() {
+    let mut runs = Vec::new();
+    for style in [DepStyle::Traditional, DepStyle::Structured] {
         eprintln!("running MinReg / {style:?} ...");
         let traced = cfg.run_suite_traced(&machine, &loops, style, Objective::MinMaxLive);
-        let (records, reports): (Vec<LoopRecord>, Vec<SolveReport>) = traced.into_iter().unzip();
 
-        // Every loop's trace must be internally consistent, whatever the
-        // outcome — a mismatch here is an instrumentation bug.
-        for (r, rep) in records.iter().zip(&reports) {
+        // Every loop's node stream must close what it opens, whatever the
+        // outcome — an unbalanced one is an instrumentation bug.
+        for (r, rep) in &traced {
             assert!(rep.balanced(), "{}: unbalanced node stream", r.name);
-            assert_eq!(
-                rep.nodes_opened, r.result.stats.bb_nodes,
-                "{}: trace/stats node disagreement",
-                r.name
-            );
         }
 
         print_trace_percentiles(
             &format!("MinReg / {} formulation:", style_name(style)),
-            &reports,
+            &traced,
         );
         println!();
 
-        let scheduled = records
+        let scheduled = traced
             .iter()
-            .filter(|r| r.result.status.scheduled())
+            .filter(|(r, _)| r.result.status.scheduled())
             .count();
-        let nodes: u64 = reports.iter().map(|r| r.nodes_opened).sum();
-        let lp_solves: u64 = reports.iter().map(|r| r.lp_solves).sum();
-        let iterations: u64 = reports.iter().map(|r| r.simplex_iterations).sum();
-        let refactors: u64 = reports.iter().map(|r| r.refactors).sum();
-        let _ = write!(
-            json,
-            "    {{\"style\": \"{}\", \"loops\": {}, \"scheduled\": {scheduled}, \
-             \"bb_nodes\": {nodes}, \"lp_solves\": {lp_solves}, \
-             \"simplex_iterations\": {iterations}, \"refactors\": {refactors}}}",
+        let mut totals = SolveStats::default();
+        for (r, _) in &traced {
+            totals.absorb(&r.result.stats);
+        }
+        runs.push(format!(
+            "    {{\"style\": \"{}\", \"loops\": {}, \"scheduled\": {scheduled}, \"stats\": {}}}",
             style_name(style),
             loops.len(),
-        );
-        json.push_str(if si + 1 < styles.len() { ",\n" } else { "\n" });
+            totals.to_json()
+        ));
     }
-    json.push_str("  ]\n}\n");
+    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", runs.join(",\n"));
     std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
     println!("wrote BENCH_trace.json");
 }

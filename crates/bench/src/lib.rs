@@ -30,7 +30,7 @@ use optimod::{
     SchedulerConfig,
 };
 use optimod_ddg::{benchmark_corpus, CorpusSize, Loop};
-use optimod_ilp::panic_message;
+use optimod_ilp::{panic_message, SolveStats};
 use optimod_machine::{cydra_like, Machine};
 use optimod_trace::{HistSummary, MemorySink, Phase, SolveReport, Trace};
 
@@ -191,19 +191,19 @@ impl ExperimentConfig {
     }
 }
 
-/// Prints a trace-derived percentile table (min/p50/p90/max across loops)
-/// for one formulation's traced run: per-phase wall clock plus the
-/// branch-and-bound and LP counters.
-pub fn print_trace_percentiles(title: &str, reports: &[SolveReport]) {
+/// Prints a percentile table (min/p50/p90/max across loops) for one
+/// formulation's traced run: per-phase wall clock from the traces, then
+/// the branch-and-bound and LP counters from each loop's `SolveStats`.
+pub fn print_trace_percentiles(title: &str, traced: &[(LoopRecord, SolveReport)]) {
     println!("{title}");
     println!(
         "  {:<24} {:>7} {:>12} {:>12} {:>12} {:>12}",
         "measure", "loops", "min", "p50", "p90", "max"
     );
     for phase in Phase::ALL {
-        let micros: Vec<u64> = reports
+        let micros: Vec<u64> = traced
             .iter()
-            .filter_map(|r| r.phase(phase))
+            .filter_map(|(_, r)| r.phase(phase))
             .map(|p| u64::try_from(p.total.as_micros()).unwrap_or(u64::MAX))
             .collect();
         if micros.is_empty() {
@@ -220,16 +220,16 @@ pub fn print_trace_percentiles(title: &str, reports: &[SolveReport]) {
             h.max
         );
     }
-    type Extract = fn(&SolveReport) -> u64;
+    type Extract = fn(&SolveStats) -> u64;
     let counters: [(&str, Extract); 5] = [
-        ("bb nodes", |r| r.nodes_opened),
-        ("lp solves", |r| r.lp_solves),
-        ("simplex iterations", |r| r.simplex_iterations),
-        ("refactorizations", |r| r.refactors),
-        ("incumbent updates", |r| r.incumbents),
+        ("bb nodes", |s| s.bb_nodes),
+        ("lp solves", |s| s.lp_solves),
+        ("simplex iterations", |s| s.simplex_iterations),
+        ("refactorizations", |s| s.refactors),
+        ("incumbent updates", |s| s.incumbents),
     ];
     for (label, f) in counters {
-        let vals: Vec<u64> = reports.iter().map(f).collect();
+        let vals: Vec<u64> = traced.iter().map(|(rec, _)| f(&rec.result.stats)).collect();
         let h = HistSummary::from_values(&vals);
         println!(
             "  {label:<24} {:>7} {:>12} {:>12} {:>12} {:>12}",

@@ -51,10 +51,11 @@
 //!   --expand              also print the MVE-expanded pipelined loop
 //!   --lp                  dump the ILP in CPLEX LP format instead of solving
 //!   --trace <path>        write the structured solve trace as JSON lines
-//!   --report              print the per-phase timing / solver-counter report
-//!   --report-json         print the same report as one machine-readable
-//!                         JSON object (phase timings, counters, LP
-//!                         warm-start hit rates per phase)
+//!   --report              print the solver-effort counters, then the
+//!                         trace report (per-phase timing, node outcomes,
+//!                         histograms, warm starts per phase, II attempts)
+//!   --report-json         print both as one machine-readable JSON object,
+//!                         {"version":1,"stats":{...},"report":{...}}
 //!   --certify             re-run the exact-arithmetic certifier on the
 //!                         result from outside the scheduler and print the
 //!                         certificate (refusal exits 6)
@@ -805,10 +806,16 @@ fn run() -> Result<(), Failure> {
         let report = m.report();
         if opts.report {
             println!("\n--- solve report ---");
-            print!("{}", report.render());
+            print!("{}{}", result.stats.render(), report.render());
         }
         if opts.report_json {
-            println!("{}", report.to_json());
+            // The one place the versioned JSON is composed: the solver's
+            // effort counters and the trace-only sections side by side.
+            println!(
+                "{{\"version\":1,\"stats\":{},\"report\":{}}}",
+                result.stats.to_json(),
+                report.to_json()
+            );
         }
     }
     if let Some(optimod::ScheduleError::BackendDisagreement { ii, detail, repro }) = &result.error {

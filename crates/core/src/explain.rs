@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use optimod_analyze::{ExplainOptions, ExplainOutcome, Explanation, PresolveTotals};
+use optimod_analyze::{ExplainOptions, ExplainOutcome, Explanation};
 use optimod_ddg::Loop;
 use optimod_machine::Machine;
 use optimod_sat::{encode, solve as sat_solve, EncodeOptions, SatLimits, SatOutcome, SlotDomains};
@@ -106,7 +106,7 @@ pub fn explain_at(
 /// unrestricted horizon generous enough that infeasibility is never an
 /// artifact of the fallback itself.
 fn searched_domains(probe: &OptimalScheduler, l: &Loop, machine: &Machine, ii: u32) -> SlotDomains {
-    if let Some(built) = probe.build(l, machine, ii, &mut PresolveTotals::default()) {
+    if let Some((built, _)) = probe.build(l, machine, ii) {
         return slot_domains(&built);
     }
     // No ASAP times exist at this II (a recurrence already exceeds it), so
@@ -129,7 +129,7 @@ fn still_infeasible(
     ii: u32,
     opts: &ExplainOptions,
 ) -> bool {
-    let Some(built) = probe.build(cand, machine, ii, &mut PresolveTotals::default()) else {
+    let Some((built, _)) = probe.build(cand, machine, ii) else {
         return true;
     };
     let enc = encode(

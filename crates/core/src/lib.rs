@@ -59,7 +59,6 @@ pub use formulation::{build_model, BuiltModel, DepStyle, FormulationConfig, Obje
 pub use mii::{compute_mii, Mii};
 pub use optimod_analyze::{
     ExplainOptions, ExplainOutcome, Explanation, IlpContext, PresolveOptions, PresolveSummary,
-    PresolveTotals,
 };
 pub use optimod_sat::EncodeOptions as SatEncodeOptions;
 pub use optimod_verify::{certify, CertError, Certificate, Claim};

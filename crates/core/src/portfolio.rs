@@ -28,13 +28,12 @@
 
 use std::time::Duration;
 
-use optimod_analyze::PresolveTotals;
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
 use optimod_ilp::{
     panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus, StopFlag,
 };
 use optimod_machine::Machine;
-use optimod_sat::{encode, solve as sat_solve, SatLimits, SatOutcome, SatStats, SlotDomains};
+use optimod_sat::{encode, solve as sat_solve, SatLimits, SatOutcome, SlotDomains};
 use optimod_trace::TraceEvent;
 
 use crate::error::ScheduleError;
@@ -82,21 +81,6 @@ fn ilp_verdict_name(status: SolveStatus) -> &'static str {
         SolveStatus::Optimal | SolveStatus::Feasible => "feasible",
         SolveStatus::Infeasible => "infeasible",
         SolveStatus::LimitReached => "unknown",
-    }
-}
-
-/// Folds a SAT run's counters into the scheduler's [`SolveStats`] shape so
-/// they travel through the audited `absorb` merge path like every other
-/// backend's effort.
-fn as_solve_stats(st: &SatStats) -> SolveStats {
-    SolveStats {
-        sat_decisions: st.decisions,
-        sat_propagations: st.propagations,
-        sat_conflicts: st.conflicts,
-        sat_restarts: st.restarts,
-        sat_learned: st.learned,
-        faults_injected: st.faults_injected,
-        ..Default::default()
     }
 }
 
@@ -360,16 +344,16 @@ impl OptimalScheduler {
     /// the trace, returning its verdict.
     fn sat_settled(
         &self,
-        run: Result<(SatVerdict, SatStats, Option<ScheduleError>), String>,
+        run: Result<(SatVerdict, SolveStats, Option<ScheduleError>), String>,
         ii: u32,
         state: &mut LoopState,
     ) -> SatVerdict {
         let (verdict, sat_stats, sat_err) = run.unwrap_or_else(|msg| {
             state.stats.panics_recovered += 1;
             state.note(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-            (SatVerdict::Unknown, SatStats::default(), None)
+            (SatVerdict::Unknown, SolveStats::default(), None)
         });
-        state.stats.absorb(&as_solve_stats(&sat_stats));
+        state.stats.absorb(&sat_stats);
         if let Some(e) = sat_err {
             state.note(e);
         }
@@ -427,7 +411,7 @@ impl OptimalScheduler {
         domains: &SlotDomains,
         limits: &SolveLimits,
         stop: StopFlag,
-    ) -> (SatVerdict, SatStats, Option<ScheduleError>) {
+    ) -> (SatVerdict, SolveStats, Option<ScheduleError>) {
         let sat_limits = SatLimits {
             time_limit: limits.time_limit,
             conflict_limit: limits.node_limit,
@@ -529,7 +513,7 @@ impl OptimalScheduler {
     /// Bounded re-check of a candidate instance: do the two backends still
     /// contradict each other with certified verdicts at `ii`?
     fn disagreement_persists(&self, l: &Loop, machine: &Machine, ii: u32) -> bool {
-        let Some(built) = self.build(l, machine, ii, &mut PresolveTotals::default()) else {
+        let Some((built, _)) = self.build(l, machine, ii) else {
             return false;
         };
         let domains = slot_domains(&built);

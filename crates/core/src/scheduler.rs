@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use optimod_analyze::{Explanation, IlpContext, PresolveOptions, PresolveTotals};
+use optimod_analyze::{Explanation, IlpContext, PresolveOptions};
 use optimod_ddg::Loop;
 use optimod_ilp::{
     panic_message, FaultAction, FaultSite, SolveError, SolveLimits, SolveOutcome, SolveStats,
@@ -298,17 +298,15 @@ pub struct LoopResult {
     pub objective_value: Option<f64>,
     /// Solver statistics accumulated over every tentative `II`
     /// (`variables`/`constraints` are those of the largest model built —
-    /// i.e. the final one, since sizes grow with `II`).
+    /// i.e. the final one, since sizes grow with `II`), including what the
+    /// analyzer's presolve did (the `presolve_*` counters, all zero when
+    /// [`SchedulerConfig::presolve`] is off or no model was built).
     pub stats: SolveStats,
     /// Which ladder rung produced the schedule (`None` when unscheduled).
     /// [`Provenance::Exact`] when the fallback ladder is disabled, except
     /// that a portfolio run reports [`Provenance::SatExact`] for the cells
     /// the SAT backend won.
     pub provenance: Option<Provenance>,
-    /// What the analyzer's presolve did across every tentative `II`
-    /// (all-zero when [`SchedulerConfig::presolve`] is off or no model was
-    /// built).
-    pub presolve: PresolveTotals,
     /// Abnormal condition encountered along the way, if any. Present even
     /// on scheduled results when a rung failed abnormally before a later
     /// rung (or the incumbent) recovered.
@@ -327,7 +325,6 @@ pub(crate) struct LoopState {
     /// Wall-clock budget of the `II` escalation, measured from `start`.
     budget: Duration,
     pub(crate) stats: SolveStats,
-    presolve: PresolveTotals,
     /// First abnormal-but-survivable condition seen (a backend panic, a
     /// stalled LP); reported even when a later attempt succeeds.
     error: Option<ScheduleError>,
@@ -340,7 +337,6 @@ impl LoopState {
             start,
             budget,
             stats: SolveStats::default(),
-            presolve: PresolveTotals::default(),
             error: None,
         }
     }
@@ -363,7 +359,6 @@ impl LoopState {
                 ..self.stats
             },
             provenance: None,
-            presolve: self.presolve,
             error: self.error,
             explanation: None,
         }
@@ -677,9 +672,10 @@ impl OptimalScheduler {
             return Decision::Limit;
         }
         trace.emit(|| TraceEvent::IiAttempt { ii });
-        let Some(built) = self.build(l, machine, ii, &mut state.presolve) else {
+        let Some((built, presolved)) = self.build(l, machine, ii) else {
             return Decision::Infeasible; // below RecMII (possible only via direct calls)
         };
+        state.stats.absorb(&presolved);
         // Saturating: `elapsed` keeps advancing between the budget check
         // above and here, so a plain subtraction could underflow under a
         // racing clock.
@@ -715,7 +711,7 @@ impl OptimalScheduler {
         }
         match out.status {
             SolveStatus::Optimal | SolveStatus::Feasible => {
-                self.certified(l, machine, &built, &out)
+                self.certified(l, machine, &built, &out, &mut state.stats)
             }
             SolveStatus::Infeasible => Decision::Infeasible,
             SolveStatus::LimitReached => Decision::Limit,
@@ -724,13 +720,15 @@ impl OptimalScheduler {
 
     /// Extracts and certifies the schedule of a successful solve. A
     /// solution that fails to decode, validate or certify is a typed
-    /// failure instead of a panic or a wrong answer.
+    /// failure instead of a panic or a wrong answer. Faults injected at
+    /// extraction are counted into `stats`.
     fn certified(
         &self,
         l: &Loop,
         machine: &Machine,
         built: &BuiltModel,
         out: &SolveOutcome,
+        stats: &mut SolveStats,
     ) -> Decision {
         let first_only = self.first_only();
         let ii = built.ii;
@@ -744,27 +742,27 @@ impl OptimalScheduler {
             let fired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.config.limits.fault.fire(FaultSite::Extraction)
             }));
+            // Only an injected panic unwinds out of `fire`; it is a fire
+            // like the others, counted and traced before it fails the II.
+            let action = fired.as_ref().map_or(Some(FaultAction::Panic), |a| *a);
+            if let Some(action) = action {
+                stats.faults_injected += 1;
+                trace.emit(|| TraceEvent::FaultInjected {
+                    worker: 0,
+                    site: FaultSite::Extraction.name(),
+                    action: action.name(),
+                });
+            }
             match fired {
-                Ok(None) => {}
-                Ok(Some(action)) => {
-                    trace.emit(|| TraceEvent::FaultInjected {
-                        worker: 0,
-                        site: FaultSite::Extraction.name(),
-                        action: action.name(),
-                    });
-                    match action {
-                        FaultAction::Stall => {
-                            return Decision::Failed(ScheduleError::MalformedSolution {
-                                detail: "injected fault: stalled extraction".to_string(),
-                            })
-                        }
-                        FaultAction::SpuriousTimeout => return Decision::Limit,
-                        // A tripped panic never reaches this arm (it is
-                        // raised inside `fire`); a perturbation is consumed
-                        // by the solver's incumbent path, not here.
-                        FaultAction::Panic | FaultAction::PerturbIncumbent => {}
-                    }
+                Ok(Some(FaultAction::Stall)) => {
+                    return Decision::Failed(ScheduleError::MalformedSolution {
+                        detail: "injected fault: stalled extraction".to_string(),
+                    })
                 }
+                Ok(Some(FaultAction::SpuriousTimeout)) => return Decision::Limit,
+                // A perturbation is consumed by the solver's incumbent
+                // path, not here.
+                Ok(_) => {}
                 Err(payload) => {
                     return Decision::Failed(ScheduleError::Solver(SolveError::WorkerPanic(
                         panic_message(payload.as_ref()),
@@ -842,15 +840,15 @@ impl OptimalScheduler {
 
     /// The one model build: derives the [`FormulationConfig`] from the
     /// scheduler configuration, builds the model at `ii` and, when
-    /// enabled, runs the analyzer's presolve over it, folding the summary
-    /// into `totals`. `None` below the RecMII.
+    /// enabled, runs the analyzer's presolve over it. Returns the model
+    /// with the presolve effort (all zero when presolve is off); `None`
+    /// below the RecMII.
     pub(crate) fn build(
         &self,
         l: &Loop,
         machine: &Machine,
         ii: u32,
-        totals: &mut PresolveTotals,
-    ) -> Option<BuiltModel> {
+    ) -> Option<(BuiltModel, SolveStats)> {
         let trace = &self.config.limits.trace;
         let cfg = FormulationConfig {
             dep_style: self.config.dep_style,
@@ -862,6 +860,7 @@ impl OptimalScheduler {
             let _span = trace.span(Phase::Formulation);
             build_model(l, machine, ii, &cfg)?
         };
+        let mut effort = SolveStats::default();
         if self.config.presolve {
             let _span = trace.span(Phase::Presolve);
             let summary = optimod_analyze::presolve(
@@ -875,7 +874,7 @@ impl OptimalScheduler {
                 },
                 &self.config.presolve_options,
             );
-            totals.absorb(&summary);
+            effort = summary.stats();
             let (rows_eliminated, binaries_fixed, bounds_tightened, infeasible) = (
                 summary.rows_eliminated,
                 summary.binaries_fixed,
@@ -889,7 +888,7 @@ impl OptimalScheduler {
                 infeasible,
             });
         }
-        Some(built)
+        Some((built, effort))
     }
 
     /// Ground-truth integer value of the configured secondary objective on

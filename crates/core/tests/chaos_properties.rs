@@ -213,3 +213,55 @@ fn perturbed_incumbent_never_surfaces_unchecked() {
         }
     }
 }
+
+/// Every fault a plan fires is counted in the result's `SolveStats`,
+/// wherever it fired — pivot loop, node expansion or schedule extraction,
+/// including an injected panic caught at extraction. Serial MinReg runs
+/// with a node cap and no fallback ladder, so every fire happens inside
+/// the exact search whose effort the result reports.
+#[test]
+fn every_fired_fault_is_counted_in_stats() {
+    quiet_injected_panics();
+    let machine = example_3fu();
+    let loops = [
+        kernels::figure1(&machine),
+        kernels::saxpy(&machine),
+        kernels::lfk5_tridiag(&machine),
+        kernels::lfk6_recurrence(&machine),
+        kernels::fir4(&machine),
+        kernels::horner(&machine),
+    ];
+    let mut extraction_panics = 0;
+    for seed in 0..64u64 {
+        for l in &loops {
+            for style in [DepStyle::Traditional, DepStyle::Structured] {
+                let plan = FaultPlan::from_seed(seed);
+                let mut cfg = SchedulerConfig::new(style, Objective::MinMaxLive)
+                    .with_time_limit(Duration::from_secs(30));
+                cfg.limits.threads = 1;
+                cfg.limits.node_limit = 300;
+                cfg.limits.fault = plan.clone();
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    OptimalScheduler::new(cfg).schedule(l, &machine)
+                }))
+                .unwrap_or_else(|_| panic!("seed {seed}: a fault escaped on {}", l.name()));
+                assert_eq!(
+                    r.stats.faults_injected,
+                    plan.fired_count(),
+                    "seed {seed}, {} / {style:?}: fired {:?}",
+                    l.name(),
+                    plan.fired()
+                );
+                extraction_panics += plan
+                    .fired()
+                    .iter()
+                    .filter(|i| i.site == FaultSite::Extraction && i.action == FaultAction::Panic)
+                    .count();
+            }
+        }
+    }
+    assert!(
+        extraction_panics > 0,
+        "the sweep must cover a panic caught at extraction"
+    );
+}

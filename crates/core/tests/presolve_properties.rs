@@ -63,7 +63,7 @@ fn check_equivalence(seed: u64, midx: u8, style: DepStyle, threads: u32) {
         l.name()
     );
     assert!(
-        on.presolve.models > 0,
+        on.stats.presolve_runs > 0,
         "{}: presolve-enabled run never invoked presolve",
         l.name()
     );

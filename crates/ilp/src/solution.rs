@@ -1,7 +1,7 @@
 //! Solve outcomes and the effort statistics the paper's evaluation reports.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 /// An abnormal solver condition, reported alongside the outcome instead of
@@ -158,6 +158,16 @@ pub struct SolveStats {
     pub sat_restarts: u64,
     /// Portfolio SAT backend: clauses learned from conflicts.
     pub sat_learned: u64,
+    /// Presolve passes run (one per model built with presolve enabled).
+    pub presolve_runs: u64,
+    /// Constraint rows presolve removed as redundant.
+    pub presolve_rows_eliminated: u64,
+    /// MRT binaries presolve fixed to 0 or 1.
+    pub presolve_binaries_fixed: u64,
+    /// Stage-variable bounds presolve strictly tightened.
+    pub presolve_bounds_tightened: u64,
+    /// Models presolve proved infeasible.
+    pub presolve_infeasible: u64,
     /// Wall-clock time spent in the solver.
     pub wall_time: Duration,
 }
@@ -191,7 +201,114 @@ impl SolveStats {
         self.sat_conflicts += other.sat_conflicts;
         self.sat_restarts += other.sat_restarts;
         self.sat_learned += other.sat_learned;
+        self.presolve_runs += other.presolve_runs;
+        self.presolve_rows_eliminated += other.presolve_rows_eliminated;
+        self.presolve_binaries_fixed += other.presolve_binaries_fixed;
+        self.presolve_bounds_tightened += other.presolve_bounds_tightened;
+        self.presolve_infeasible += other.presolve_infeasible;
         self.wall_time += other.wall_time;
+    }
+
+    /// Every counter as `(section, key, value)`, durations in whole
+    /// microseconds: the one schema both writers below share. The
+    /// destructuring is exhaustive, so a new counter cannot be left out.
+    fn fields(&self) -> [(&'static str, &'static str, u64); 26] {
+        let SolveStats {
+            variables,
+            constraints,
+            bb_nodes,
+            simplex_iterations,
+            lp_solves,
+            incumbents,
+            refactors,
+            eta_pivots,
+            warm_starts,
+            warm_abandoned,
+            ftran_time,
+            btran_time,
+            stalled_lps,
+            panics_recovered,
+            faults_injected,
+            sat_decisions,
+            sat_propagations,
+            sat_conflicts,
+            sat_restarts,
+            sat_learned,
+            presolve_runs,
+            presolve_rows_eliminated,
+            presolve_binaries_fixed,
+            presolve_bounds_tightened,
+            presolve_infeasible,
+            wall_time,
+        } = *self;
+        let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        [
+            ("model", "variables", variables),
+            ("model", "constraints", constraints),
+            ("search", "bb_nodes", bb_nodes),
+            ("search", "incumbents", incumbents),
+            ("lp", "lp_solves", lp_solves),
+            ("lp", "simplex_iterations", simplex_iterations),
+            ("lp", "refactors", refactors),
+            ("lp", "eta_pivots", eta_pivots),
+            ("lp", "stalled_lps", stalled_lps),
+            ("lp", "warm_starts", warm_starts),
+            ("lp", "warm_abandoned", warm_abandoned),
+            ("time", "ftran_us", us(ftran_time)),
+            ("time", "btran_us", us(btran_time)),
+            ("time", "wall_us", us(wall_time)),
+            ("presolve", "presolve_runs", presolve_runs),
+            (
+                "presolve",
+                "presolve_rows_eliminated",
+                presolve_rows_eliminated,
+            ),
+            (
+                "presolve",
+                "presolve_binaries_fixed",
+                presolve_binaries_fixed,
+            ),
+            (
+                "presolve",
+                "presolve_bounds_tightened",
+                presolve_bounds_tightened,
+            ),
+            ("presolve", "presolve_infeasible", presolve_infeasible),
+            ("sat", "sat_decisions", sat_decisions),
+            ("sat", "sat_propagations", sat_propagations),
+            ("sat", "sat_conflicts", sat_conflicts),
+            ("sat", "sat_restarts", sat_restarts),
+            ("sat", "sat_learned", sat_learned),
+            ("faults", "panics_recovered", panics_recovered),
+            ("faults", "faults_injected", faults_injected),
+        ]
+    }
+
+    /// Renders the effort section the CLI prints under `--report`: one
+    /// line per section, its counters under their JSON keys. Sections
+    /// that are all zero (presolve off, no SAT backend, no faults) are
+    /// omitted.
+    pub fn render(&self) -> String {
+        let mut s = String::from("solver effort:\n");
+        for section in self.fields().chunk_by(|a, b| a.0 == b.0) {
+            if section.iter().all(|&(_, _, v)| v == 0) {
+                continue;
+            }
+            let body: Vec<String> = section.iter().map(|(_, k, v)| format!("{k} {v}")).collect();
+            let _ = writeln!(s, "  {}: {}", section[0].0, body.join(", "));
+        }
+        s
+    }
+
+    /// Encodes every counter as one flat JSON object, the `stats` member
+    /// of the CLI's `--report-json`.
+    pub fn to_json(&self) -> String {
+        let body: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(_, k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        format!("{{{}}}", body.join(","))
     }
 }
 
@@ -273,6 +390,11 @@ mod tests {
             sat_conflicts: 4,
             sat_restarts: 1,
             sat_learned: 3,
+            presolve_runs: 1,
+            presolve_rows_eliminated: 4,
+            presolve_binaries_fixed: 0,
+            presolve_bounds_tightened: 2,
+            presolve_infeasible: 0,
             wall_time: Duration::from_millis(5),
         };
         let b = SolveStats {
@@ -296,6 +418,11 @@ mod tests {
             sat_conflicts: 6,
             sat_restarts: 2,
             sat_learned: 7,
+            presolve_runs: 2,
+            presolve_rows_eliminated: 3,
+            presolve_binaries_fixed: 5,
+            presolve_bounds_tightened: 1,
+            presolve_infeasible: 1,
             wall_time: Duration::from_millis(7),
         };
         a.absorb(&b);
@@ -320,6 +447,11 @@ mod tests {
             sat_conflicts,
             sat_restarts,
             sat_learned,
+            presolve_runs,
+            presolve_rows_eliminated,
+            presolve_binaries_fixed,
+            presolve_bounds_tightened,
+            presolve_infeasible,
             wall_time,
         } = a;
         // Model sizes keep the larger formulation; everything else sums.
@@ -343,7 +475,42 @@ mod tests {
         assert_eq!(sat_conflicts, 10);
         assert_eq!(sat_restarts, 3);
         assert_eq!(sat_learned, 10);
+        assert_eq!(presolve_runs, 3);
+        assert_eq!(presolve_rows_eliminated, 7);
+        assert_eq!(presolve_binaries_fixed, 5);
+        assert_eq!(presolve_bounds_tightened, 3);
+        assert_eq!(presolve_infeasible, 1);
         assert_eq!(wall_time, Duration::from_millis(12));
+    }
+
+    #[test]
+    fn render_and_json_cover_the_counters() {
+        let stats = SolveStats {
+            bb_nodes: 3,
+            lp_solves: 5,
+            warm_starts: 2,
+            presolve_runs: 2,
+            presolve_rows_eliminated: 4,
+            faults_injected: 1,
+            ..Default::default()
+        };
+        let text = stats.render();
+        assert!(text.starts_with("solver effort:\n"));
+        assert!(text.contains("  search: bb_nodes 3, incumbents 0\n"));
+        assert!(text.contains("lp_solves 5, "));
+        assert!(text.contains("warm_starts 2, warm_abandoned 0\n"));
+        assert!(text.contains("  presolve: presolve_runs 2, presolve_rows_eliminated 4,"));
+        assert!(text.contains("  faults: panics_recovered 0, faults_injected 1\n"));
+        assert!(!text.contains("sat:"), "all-zero sections are omitted");
+        let json = stats.to_json();
+        assert!(json.starts_with("{\"variables\":0,") && json.ends_with('}'));
+        assert!(json.contains("\"bb_nodes\":3"));
+        assert!(json.contains("\"presolve_rows_eliminated\":4"));
+        assert!(
+            json.contains("\"sat_learned\":0"),
+            "zero counters stay in the JSON"
+        );
+        assert_eq!(json.matches(':').count(), 26, "one key per counter");
     }
 
     #[test]

@@ -64,10 +64,16 @@ fn cutoff_at_optimum_proves_nothing_better() {
 
 #[test]
 fn cutoff_reduces_search_effort() {
+    // Serial on both sides: parallel node counts vary run to run, so only
+    // the deterministic search can be compared node for node.
     let (m, opt) = knapsack();
-    let base = m.solve();
+    let base = m.solve_with(SolveLimits {
+        threads: 1,
+        ..Default::default()
+    });
     let limits = SolveLimits {
         cutoff: Some(opt - 0.5),
+        threads: 1,
         ..Default::default()
     };
     let tight = m.solve_with(limits);

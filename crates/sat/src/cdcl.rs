@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use optimod_ilp::{FaultAction, FaultPlan, FaultSite, StopFlag};
+use optimod_ilp::{FaultAction, FaultPlan, FaultSite, SolveStats, StopFlag};
 
 /// A propositional literal: variable index with a sign bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,24 +160,6 @@ impl AssumeOutcome {
     }
 }
 
-/// Search-effort counters, the SAT analogue of the ILP's `SolveStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SatStats {
-    /// Branching decisions made.
-    pub decisions: u64,
-    /// Literal assignments made (decisions plus propagated implications).
-    pub propagations: u64,
-    /// Conflicts analyzed (equals the number of learned clauses plus
-    /// top-level refutations).
-    pub conflicts: u64,
-    /// Luby restarts performed.
-    pub restarts: u64,
-    /// Clauses learned by 1-UIP analysis.
-    pub learned: u64,
-    /// Fault-plan injections that tripped inside this solve.
-    pub faults_injected: u64,
-}
-
 /// Limits and shared machinery for one SAT solve.
 #[derive(Debug, Clone)]
 pub struct SatLimits {
@@ -250,7 +232,7 @@ struct Solver<'a> {
     var_inc: f64,
     phase: Vec<bool>,
     seen: Vec<bool>,
-    stats: SatStats,
+    stats: SolveStats,
     limits: &'a SatLimits,
     start: Instant,
     interrupted: bool,
@@ -278,7 +260,7 @@ impl<'a> Solver<'a> {
             var_inc: 1.0,
             phase: vec![false; n],
             seen: vec![false; n],
-            stats: SatStats::default(),
+            stats: SolveStats::default(),
             limits,
             start: Instant::now(),
             interrupted: false,
@@ -305,7 +287,7 @@ impl<'a> Solver<'a> {
         self.reason[l.var()] = reason;
         self.phase[l.var()] = !l.is_neg();
         self.trail.push(l);
-        self.stats.propagations += 1;
+        self.stats.sat_propagations += 1;
     }
 
     /// Installs a problem clause. Returns `false` on an immediate
@@ -495,7 +477,7 @@ impl<'a> Solver<'a> {
         let Some(v) = best else {
             return false;
         };
-        self.stats.decisions += 1;
+        self.stats.sat_decisions += 1;
         self.trail_lim.push(self.trail.len());
         let lit = if self.phase[v] {
             Lit::pos(v)
@@ -528,7 +510,7 @@ impl<'a> Solver<'a> {
 
     fn out_of_budget(&self) -> bool {
         self.interrupted
-            || self.stats.conflicts >= self.limits.conflict_limit
+            || self.stats.sat_conflicts >= self.limits.conflict_limit
             || self.limits.stop.is_stopped()
             || self.start.elapsed() >= self.limits.time_limit
     }
@@ -573,18 +555,18 @@ impl<'a> Solver<'a> {
     fn search(&mut self, assumptions: &[Lit]) -> AssumeOutcome {
         let restart_base = 128u64;
         loop {
-            let conflicts_before_restart = restart_base * luby(self.stats.restarts);
+            let conflicts_before_restart = restart_base * luby(self.stats.sat_restarts);
             let mut conflicts_here = 0u64;
             loop {
                 if let Some(conflict) = self.propagate() {
-                    self.stats.conflicts += 1;
+                    self.stats.sat_conflicts += 1;
                     conflicts_here += 1;
                     if self.decision_level() == 0 {
                         return AssumeOutcome::Unsat(Vec::new());
                     }
                     let (learned, back_level) = self.analyze(conflict);
                     self.backtrack(back_level);
-                    self.stats.learned += 1;
+                    self.stats.sat_learned += 1;
                     if learned.len() == 1 {
                         self.enqueue(learned[0], NO_REASON);
                     } else {
@@ -603,7 +585,7 @@ impl<'a> Solver<'a> {
                         return AssumeOutcome::Unknown;
                     }
                     if conflicts_here >= conflicts_before_restart && self.decision_level() > 0 {
-                        self.stats.restarts += 1;
+                        self.stats.sat_restarts += 1;
                         if let Some(action) = self.fire(FaultSite::SatRestart) {
                             self.apply_fault(action);
                             if self.interrupted {
@@ -645,8 +627,10 @@ impl<'a> Solver<'a> {
 }
 
 /// Solves `cnf` under `limits`. Deterministic given the seed (and absent
-/// cancellation or time limits binding mid-search).
-pub fn solve(cnf: &Cnf, limits: &SatLimits) -> (SatOutcome, SatStats) {
+/// cancellation or time limits binding mid-search). The effort comes back
+/// in the `sat_*` and `faults_injected` counters of a [`SolveStats`], the
+/// same record the ILP fills, so callers merge it with `absorb`.
+pub fn solve(cnf: &Cnf, limits: &SatLimits) -> (SatOutcome, SolveStats) {
     let (out, stats) = solve_with_assumptions(cnf, &[], limits);
     let out = match out {
         AssumeOutcome::Sat(model) => SatOutcome::Sat(model),
@@ -669,7 +653,7 @@ pub fn solve_with_assumptions(
     cnf: &Cnf,
     assumptions: &[Lit],
     limits: &SatLimits,
-) -> (AssumeOutcome, SatStats) {
+) -> (AssumeOutcome, SolveStats) {
     let mut s = Solver::new(cnf, limits);
     for clause in cnf.clauses() {
         if !s.add_clause(clause) {
@@ -755,7 +739,7 @@ mod tests {
         }
         let (out, stats) = solve(&cnf, &quick());
         assert_eq!(out, SatOutcome::Unsat);
-        assert!(stats.conflicts > 0, "PHP must require search");
+        assert!(stats.sat_conflicts > 0, "PHP must require search");
     }
 
     #[test]

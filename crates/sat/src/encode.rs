@@ -628,7 +628,7 @@ mod tests {
         };
         let times = enc.decode(&model).expect("model decodes");
         assert_eq!(times.len(), l.num_ops());
-        assert!(stats.propagations > 0);
+        assert!(stats.sat_propagations > 0);
 
         // 5 ops on 3 FUs cannot pack at II=1.
         let enc1 = encode(&l, &m, 1, &unrestricted(&l, 1), &EncodeOptions::default());

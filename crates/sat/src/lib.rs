@@ -30,9 +30,7 @@
 mod cdcl;
 mod encode;
 
-pub use cdcl::{
-    solve, solve_with_assumptions, AssumeOutcome, Cnf, Lit, SatLimits, SatOutcome, SatStats,
-};
+pub use cdcl::{solve, solve_with_assumptions, AssumeOutcome, Cnf, Lit, SatLimits, SatOutcome};
 pub use encode::{
     encode, encode_grouped, encode_subset, ConstraintGroup, EncodeOptions, Encoding,
     GroupedEncoding, SlotDomains,

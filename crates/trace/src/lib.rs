@@ -10,7 +10,9 @@
 //!   timestamped against a per-solve monotonic epoch;
 //! * [`TraceSink`] — the consumer interface, implemented by the three
 //!   shipped sinks: [`NullSink`] (no-op, for overhead measurement),
-//!   [`MemorySink`] (in-memory aggregation into a [`SolveReport`]), and
+//!   [`MemorySink`] (in-memory aggregation into a [`SolveReport`] of what
+//!   only the events can say: phase timing and effort distributions; the
+//!   effort totals are the solver's own `SolveStats`), and
 //!   [`JsonlSink`] (one JSON object per line, machine-readable);
 //! * [`Trace`] — the cheap cloneable handle the solver threads through its
 //!   hot paths. A disabled handle (the default) costs one pointer check
@@ -33,7 +35,8 @@
 //!     });
 //! }
 //! let report = sink.report();
-//! assert_eq!(report.nodes_opened, 1);
+//! assert_eq!(report.node_depth.count, 1); // one node opened
+//! assert!(report.balanced());
 //! assert_eq!(report.phase(Phase::Search).unwrap().count, 1);
 //! ```
 

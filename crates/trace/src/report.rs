@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use crate::event::{LpClass, NodeOutcome, Phase, TimedEvent, TraceEvent};
+use crate::event::{NodeOutcome, Phase, TimedEvent, TraceEvent};
 
 /// Wall-clock summary of one phase across all of its spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,47 +89,25 @@ impl WarmSummary {
 /// Aggregated view of one solve's (or one loop's) event stream, produced by
 /// [`MemorySink::report`](crate::MemorySink::report).
 ///
-/// The counter fields mirror the solver's `SolveStats` — the trace-vs-stats
-/// property tests assert they agree exactly — while the phase table and
-/// histograms carry information the flat counters cannot (where the time
-/// went, how skewed the per-LP effort was).
+/// It keeps only what the event stream alone can say: where the time went
+/// (phase spans), how the effort was distributed (per-phase warm starts,
+/// node outcomes, depth and iterations-per-LP histograms) and what the
+/// scheduler decided along the way (II attempts, rungs, portfolio wins,
+/// certificates, explanations). The effort totals — nodes, LP solves,
+/// iterations, warm starts, faults — live in the solver's `SolveStats`,
+/// which the events must reproduce (the trace-fidelity tests check this).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveReport {
     /// Completed spans per phase, in [`Phase::ALL`] order (phases with no
     /// spans are omitted).
     pub phases: Vec<(Phase, PhaseSummary)>,
-    /// Branch-and-bound nodes opened (excludes root relaxations).
-    pub nodes_opened: u64,
-    /// Node closes observed; equals `nodes_opened` in a well-formed stream.
-    pub nodes_closed: u64,
-    /// Closes by outcome, in [`NodeOutcome`] order: pruned, infeasible,
-    /// integral, branched, limit, panicked.
+    /// Node closes by outcome, in [`NodeOutcome`] order: pruned,
+    /// infeasible, integral, branched, limit, panicked.
     pub node_outcomes: [u64; 6],
-    /// Incumbent updates accepted.
-    pub incumbents: u64,
-    /// LP relaxations solved (root + one per node).
-    pub lp_solves: u64,
-    /// Total simplex iterations across LP solves.
-    pub simplex_iterations: u64,
-    /// Total basis refactorizations across LP solves.
-    pub refactors: u64,
-    /// Total product-form eta updates across LP solves (0 when every solve
-    /// ran the dense engine).
-    pub eta_pivots: u64,
-    /// Warm-start provenance over all LP solves.
-    pub warm: WarmSummary,
     /// Warm-start provenance attributed to the innermost open phase span at
     /// the time of each LP solve, in [`Phase::ALL`] order (phases that saw
-    /// no LP solves are omitted; solves outside any span count only in
-    /// [`SolveReport::warm`]).
+    /// no LP solves are omitted, as are solves outside any span).
     pub warm_by_phase: Vec<(Phase, WarmSummary)>,
-    /// LPs abandoned by the stall watchdog.
-    pub stalled_lps: u64,
-    /// Worker panics recovered.
-    pub panics_recovered: u64,
-    /// Planned faults that fired at trace-visible injection sites (pivot
-    /// loop fires are invisible here; the fault plan's log has them all).
-    pub faults_injected: u64,
     /// Portfolio cells settled by the SAT backend's certified answer.
     pub sat_wins: u64,
     /// Portfolio cells settled by the ILP backend's answer.
@@ -138,14 +116,6 @@ pub struct SolveReport {
     pub certified_ok: u64,
     /// Certifier runs that found a violation.
     pub certified_failed: u64,
-    /// Presolve passes run.
-    pub presolve_runs: u64,
-    /// Rows removed as redundant across presolve passes.
-    pub presolve_rows_eliminated: u64,
-    /// MRT binaries fixed across presolve passes.
-    pub presolve_binaries_fixed: u64,
-    /// Stage-variable bound tightenings across presolve passes.
-    pub presolve_bounds_tightened: u64,
     /// Infeasibility explanation runs started.
     pub explain_runs: u64,
     /// Constraint groups across raw assumption cores.
@@ -156,7 +126,7 @@ pub struct SolveReport {
     pub explain_certified: u64,
     /// Iterations-per-LP order statistics.
     pub lp_iterations: HistSummary,
-    /// Node-depth order statistics.
+    /// Node-depth order statistics, one observation per node opened.
     pub node_depth: HistSummary,
     /// Tentative `II` values attempted, in order.
     pub ii_attempts: Vec<u32>,
@@ -228,18 +198,8 @@ impl SolveReport {
                     }
                 }
                 TraceEvent::LpSolved {
-                    class,
-                    iterations,
-                    refactors,
-                    etas,
-                    warm,
-                    ..
+                    iterations, warm, ..
                 } => {
-                    report.lp_solves += 1;
-                    report.simplex_iterations += iterations;
-                    report.refactors += refactors;
-                    report.eta_pivots += etas;
-                    report.warm.record(warm);
                     if let Some(inner) = phase_stack.last() {
                         let slot = warm_by_phase
                             .iter_mut()
@@ -247,39 +207,18 @@ impl SolveReport {
                             .expect("known");
                         slot.1.record(warm);
                     }
-                    if *class == LpClass::Stalled {
-                        report.stalled_lps += 1;
-                    }
                     lp_iters.push(*iterations);
                 }
-                TraceEvent::NodeOpen { depth, .. } => {
-                    report.nodes_opened += 1;
-                    depths.push(u64::from(*depth));
-                }
+                TraceEvent::NodeOpen { depth, .. } => depths.push(u64::from(*depth)),
                 TraceEvent::NodeClose { outcome, .. } => {
-                    report.nodes_closed += 1;
                     report.node_outcomes[outcome_slot(*outcome)] += 1;
                 }
-                TraceEvent::Incumbent { .. } => report.incumbents += 1,
-                TraceEvent::PanicRecovered { .. } => report.panics_recovered += 1,
-                TraceEvent::FaultInjected { .. } => report.faults_injected += 1,
                 TraceEvent::Certified { ok, .. } => {
                     if *ok {
                         report.certified_ok += 1;
                     } else {
                         report.certified_failed += 1;
                     }
-                }
-                TraceEvent::Presolve {
-                    rows_eliminated,
-                    binaries_fixed,
-                    bounds_tightened,
-                    ..
-                } => {
-                    report.presolve_runs += 1;
-                    report.presolve_rows_eliminated += rows_eliminated;
-                    report.presolve_binaries_fixed += binaries_fixed;
-                    report.presolve_bounds_tightened += bounds_tightened;
                 }
                 TraceEvent::IiAttempt { ii } => report.ii_attempts.push(*ii),
                 TraceEvent::Rung { rung } => report.rungs.push(rung),
@@ -298,6 +237,10 @@ impl SolveReport {
                 }
                 TraceEvent::SolveBegin { .. }
                 | TraceEvent::SolveEnd { .. }
+                | TraceEvent::Incumbent { .. }
+                | TraceEvent::PanicRecovered { .. }
+                | TraceEvent::FaultInjected { .. }
+                | TraceEvent::Presolve { .. }
                 | TraceEvent::BackendResult { .. }
                 | TraceEvent::JournalRecovered { .. }
                 | TraceEvent::CacheEvicted { .. }
@@ -322,52 +265,70 @@ impl SolveReport {
             .map(|(_, s)| s)
     }
 
+    /// Node closes observed, across every outcome.
+    pub fn nodes_closed(&self) -> u64 {
+        self.node_outcomes.iter().sum()
+    }
+
     /// Whether every node open has a matching close (per the aggregate
     /// counts; per-worker matching is checked by the property tests).
     pub fn balanced(&self) -> bool {
-        self.nodes_opened == self.nodes_closed
+        self.node_depth.count == self.nodes_closed()
     }
 
-    /// Encodes the report as one JSON object (the CLI's `--report-json`
-    /// output) so downstream tooling — the planned scheduling daemon in
-    /// particular — can consume per-phase timings and LP warm-start
-    /// provenance without scraping the human-readable render.
+    /// Encodes the report as one JSON object, the `report` member of the
+    /// CLI's `--report-json`: one key per section [`Self::render`] prints.
     pub fn to_json(&self) -> String {
+        let hist = |h: &HistSummary| {
+            format!(
+                "{{\"count\":{},\"min\":{},\"p50\":{},\"p90\":{},\"max\":{}}}",
+                h.count, h.min, h.p50, h.p90, h.max
+            )
+        };
+        let phases: Vec<String> = self
+            .phases
+            .iter()
+            .map(|(phase, sum)| {
+                format!(
+                    "{{\"phase\":\"{}\",\"spans\":{},\"total_us\":{}}}",
+                    phase.name(),
+                    sum.count,
+                    crate::as_micros(sum.total)
+                )
+            })
+            .collect();
+        let outcomes: Vec<String> = OUTCOME_NAMES
+            .iter()
+            .zip(self.node_outcomes)
+            .map(|(name, n)| format!("\"{name}\":{n}"))
+            .collect();
+        let warm: Vec<String> = self
+            .warm_by_phase
+            .iter()
+            .map(|(phase, w)| {
+                format!(
+                    "{{\"phase\":\"{}\",\"taken\":{},\"abandoned\":{},\"cold\":{},\
+                     \"hit_rate\":{:.4}}}",
+                    phase.name(),
+                    w.taken,
+                    w.abandoned,
+                    w.cold,
+                    w.hit_rate()
+                )
+            })
+            .collect();
+        let attempts: Vec<String> = self.ii_attempts.iter().map(u32::to_string).collect();
+        let rungs: Vec<String> = self.rungs.iter().map(|r| format!("\"{r}\"")).collect();
         let mut s = String::with_capacity(512);
-        s.push('{');
-        let _ = write!(s, "\"phases\":[");
-        for (i, (phase, sum)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"phase\":\"{}\",\"spans\":{},\"total_us\":{}}}",
-                phase.name(),
-                sum.count,
-                crate::as_micros(sum.total)
-            );
-        }
         let _ = write!(
             s,
-            "],\"nodes_opened\":{},\"nodes_closed\":{},\"incumbents\":{},\"lp_solves\":{},\
-             \"simplex_iterations\":{},\"refactors\":{},\"eta_pivots\":{},\"stalled_lps\":{},\
-             \"panics_recovered\":{},\"faults_injected\":{}",
-            self.nodes_opened,
-            self.nodes_closed,
-            self.incumbents,
-            self.lp_solves,
-            self.simplex_iterations,
-            self.refactors,
-            self.eta_pivots,
-            self.stalled_lps,
-            self.panics_recovered,
-            self.faults_injected,
-        );
-        let _ = write!(
-            s,
-            ",\"sat_wins\":{},\"ilp_wins\":{}",
-            self.sat_wins, self.ilp_wins
+            "{{\"phases\":[{}],\"node_outcomes\":{{{}}},\"node_depth\":{},\
+             \"lp_iterations\":{},\"warm_by_phase\":[{}]",
+            phases.join(","),
+            outcomes.join(","),
+            hist(&self.node_depth),
+            hist(&self.lp_iterations),
+            warm.join(",")
         );
         let _ = write!(
             s,
@@ -378,39 +339,23 @@ impl SolveReport {
             self.explain_min_core_groups,
             self.explain_certified
         );
-        let warm_obj = |w: &WarmSummary| {
-            format!(
-                "{{\"taken\":{},\"abandoned\":{},\"cold\":{},\"hit_rate\":{:.4}}}",
-                w.taken,
-                w.abandoned,
-                w.cold,
-                w.hit_rate()
-            )
-        };
-        let _ = write!(s, ",\"warm\":{}", warm_obj(&self.warm));
-        let _ = write!(s, ",\"warm_by_phase\":[");
-        for (i, (phase, w)) in self.warm_by_phase.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"phase\":\"{}\",", phase.name());
-            let obj = warm_obj(w);
-            s.push_str(obj.trim_start_matches('{'));
-        }
         let _ = write!(
             s,
-            "],\"ii_attempts\":[{}],\"wall_us\":{}}}",
-            self.ii_attempts
-                .iter()
-                .map(u32::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
+            ",\"ii_attempts\":[{}],\"rungs\":[{}],\"sat_wins\":{},\"ilp_wins\":{},\
+             \"certified_ok\":{},\"certified_failed\":{},\"wall_us\":{}}}",
+            attempts.join(","),
+            rungs.join(","),
+            self.sat_wins,
+            self.ilp_wins,
+            self.certified_ok,
+            self.certified_failed,
             crate::as_micros(self.wall)
         );
         s
     }
 
-    /// Renders the human-readable report the CLI prints under `--report`.
+    /// Renders the trace section the CLI prints under `--report`, after
+    /// the solver-effort section.
     pub fn render(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "per-phase wall clock:");
@@ -424,12 +369,6 @@ impl SolveReport {
                 sum.total.as_secs_f64() * 1e3
             );
         }
-        let _ = writeln!(s, "branch-and-bound:");
-        let _ = writeln!(
-            s,
-            "  nodes {} (closes {})",
-            self.nodes_opened, self.nodes_closed
-        );
         let by_outcome: Vec<String> = OUTCOME_NAMES
             .iter()
             .zip(self.node_outcomes)
@@ -437,39 +376,30 @@ impl SolveReport {
             .map(|(name, n)| format!("{name} {n}"))
             .collect();
         if !by_outcome.is_empty() {
-            let _ = writeln!(s, "  by outcome: {}", by_outcome.join(", "));
+            let _ = writeln!(s, "node closes by outcome: {}", by_outcome.join(", "));
         }
-        let _ = writeln!(s, "  incumbent updates {}", self.incumbents);
         let d = &self.node_depth;
         if d.count > 0 {
             let _ = writeln!(
                 s,
-                "  depth min/p50/p90/max: {}/{}/{}/{}",
+                "node depth min/p50/p90/max: {}/{}/{}/{}",
                 d.min, d.p50, d.p90, d.max
             );
         }
-        let _ = writeln!(s, "lp relaxations:");
-        let _ = writeln!(
-            s,
-            "  solves {}, simplex iterations {}, refactorizations {}, stalled {}",
-            self.lp_solves, self.simplex_iterations, self.refactors, self.stalled_lps
-        );
-        if self.eta_pivots > 0 {
-            let _ = writeln!(s, "  eta updates {}", self.eta_pivots);
-        }
-        if self.warm.taken + self.warm.abandoned > 0 {
+        let h = &self.lp_iterations;
+        if h.count > 0 {
             let _ = writeln!(
                 s,
-                "  warm starts: {} taken, {} abandoned, {} cold (hit rate {:.1}%)",
-                self.warm.taken,
-                self.warm.abandoned,
-                self.warm.cold,
-                self.warm.hit_rate() * 100.0
+                "iterations/LP min/p50/p90/max: {}/{}/{}/{}",
+                h.min, h.p50, h.p90, h.max
             );
+        }
+        if !self.warm_by_phase.is_empty() {
+            let _ = writeln!(s, "warm starts by phase:");
             for (phase, w) in &self.warm_by_phase {
                 let _ = writeln!(
                     s,
-                    "    {:<12} {} taken / {} abandoned / {} cold ({:.1}%)",
+                    "  {:<12} {} taken / {} abandoned / {} cold ({:.1}%)",
                     phase.name(),
                     w.taken,
                     w.abandoned,
@@ -477,24 +407,6 @@ impl SolveReport {
                     w.hit_rate() * 100.0
                 );
             }
-        }
-        let h = &self.lp_iterations;
-        if h.count > 0 {
-            let _ = writeln!(
-                s,
-                "  iterations/LP min/p50/p90/max: {}/{}/{}/{}",
-                h.min, h.p50, h.p90, h.max
-            );
-        }
-        if self.presolve_runs > 0 {
-            let _ = writeln!(
-                s,
-                "presolve: {} passes, rows eliminated {}, binaries fixed {}, bounds tightened {}",
-                self.presolve_runs,
-                self.presolve_rows_eliminated,
-                self.presolve_binaries_fixed,
-                self.presolve_bounds_tightened
-            );
         }
         if self.explain_runs > 0 {
             let _ = writeln!(
@@ -520,12 +432,6 @@ impl SolveReport {
                 self.sat_wins, self.ilp_wins
             );
         }
-        if self.panics_recovered > 0 {
-            let _ = writeln!(s, "worker panics recovered: {}", self.panics_recovered);
-        }
-        if self.faults_injected > 0 {
-            let _ = writeln!(s, "injected faults fired: {}", self.faults_injected);
-        }
         if self.certified_ok + self.certified_failed > 0 {
             let _ = writeln!(
                 s,
@@ -541,6 +447,7 @@ impl SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LpClass;
 
     fn ev(at_us: u64, event: TraceEvent) -> TimedEvent {
         TimedEvent {
@@ -550,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_counters_and_phases() {
+    fn aggregates_phases_and_distributions() {
         let events = vec![
             ev(
                 0,
@@ -609,13 +516,6 @@ mod tests {
             ),
         ];
         let r = SolveReport::from_events(&events);
-        assert_eq!(r.lp_solves, 2);
-        assert_eq!(r.simplex_iterations, 14);
-        assert_eq!(r.refactors, 1);
-        assert_eq!(r.eta_pivots, 12);
-        assert_eq!(r.warm.taken, 1);
-        assert_eq!(r.warm.cold, 1);
-        assert_eq!(r.warm.abandoned, 0);
         // Both LP solves happened inside the Search span.
         assert_eq!(
             r.warm_by_phase,
@@ -628,26 +528,41 @@ mod tests {
                 }
             )]
         );
-        assert_eq!(r.nodes_opened, 1);
+        assert_eq!(r.node_depth.count, 1);
+        assert_eq!(r.nodes_closed(), 1);
         assert!(r.balanced());
-        assert_eq!(r.incumbents, 1);
         assert_eq!(r.node_outcomes[outcome_slot(NodeOutcome::Integral)], 1);
         let search = r.phase(Phase::Search).expect("search span completed");
         assert_eq!(search.count, 1);
         assert_eq!(search.total, Duration::from_micros(9));
+        assert_eq!(r.lp_iterations.count, 2);
         assert_eq!(r.lp_iterations.min, 4);
         assert_eq!(r.lp_iterations.max, 10);
         assert_eq!(r.wall, Duration::from_micros(9));
         // The render is exercised for panics/omissions, not exact layout.
         let text = r.render();
-        assert!(text.contains("nodes 1"));
-        assert!(text.contains("simplex iterations 14"));
-        assert!(text.contains("warm starts: 1 taken"));
-        // The JSON form carries the warm-start provenance machine-readably.
+        assert!(text.contains("node closes by outcome: integral 1"));
+        assert!(text.contains("iterations/LP min/p50/p90/max: 4/"));
+        assert!(text.contains("search       1 taken / 0 abandoned / 1 cold"));
+        // The JSON form carries the same sections machine-readably.
         let json = r.to_json();
-        assert!(json.contains("\"warm\":{\"taken\":1,\"abandoned\":0,\"cold\":1"));
         assert!(json.contains("\"warm_by_phase\":[{\"phase\":\"search\",\"taken\":1"));
-        assert!(json.contains("\"eta_pivots\":12"));
+        assert!(json.contains("\"node_outcomes\":{\"pruned\":0,\"infeasible\":0,\"integral\":1"));
+        assert!(json.contains("\"lp_iterations\":{\"count\":2,\"min\":4"));
+    }
+
+    #[test]
+    fn an_open_node_unbalances_the_stream() {
+        let events = vec![ev(
+            0,
+            TraceEvent::NodeOpen {
+                worker: 0,
+                depth: 1,
+            },
+        )];
+        let r = SolveReport::from_events(&events);
+        assert_eq!(r.nodes_closed(), 0);
+        assert!(!r.balanced());
     }
 
     #[test]

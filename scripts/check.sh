@@ -20,6 +20,12 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
 CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     cargo test --workspace -q --release
 
+echo "==> benchmark harness builds and passes its unit tests"
+# perfbench/ is a workspace of its own that drives the public APIs of the
+# scheduler, ILP, analyzer and daemon crates; a public-API change that
+# breaks the benchmark fails here instead of at the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> golden-corpus solver counters"
 # Deterministic serial counters (II, B&B nodes, LP solves, simplex
 # iterations) pinned in tests/golden/corpus.tsv. On intentional solver
