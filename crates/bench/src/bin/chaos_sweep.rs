@@ -78,7 +78,9 @@ fn run_cell(machine: &Machine, l: &Loop, seed: u64, portfolio: bool) -> Cell {
     let mut cfg = SchedulerConfig::new(DepStyle::Structured, objective)
         .with_time_limit(Duration::from_millis(1500));
     // Odd seeds exercise the parallel engine (worker-start faults can only
-    // fire there); even seeds pin the deterministic serial engine.
+    // fire there); even seeds pin the deterministic serial engine. A
+    // portfolio cell always runs SAT serially first, then the ILP on these
+    // workers.
     cfg.limits.threads = if seed.is_multiple_of(2) { 1 } else { 2 };
     cfg.limits.trace = Trace::new(sink.clone());
     cfg.limits.fault = plan.clone();

@@ -40,9 +40,10 @@
 //!   --threads <n>         branch-and-bound worker threads
 //!                         (default: OPTIMOD_THREADS, else all cores;
 //!                         1 = deterministic serial search)
-//!   --portfolio           race the CDCL SAT backend against the ILP at
-//!                         each tentative II (noobj without --registers
-//!                         only; first certified answer wins, certified
+//!   --portfolio           ask the CDCL SAT backend first at each
+//!                         tentative II, then the ILP unless SAT certified
+//!                         a schedule (needs --objective noobj without
+//!                         --registers, else exit 2; certified
 //!                         contradictions between the backends fail the
 //!                         run with a minimized repro written to
 //!                         optimod-disagreement.loop)
@@ -303,6 +304,14 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.file.is_empty() && !(opts.client && (opts.ping || opts.stats || opts.shutdown)) {
         return Err(USAGE.to_string());
+    }
+    if opts.portfolio && (opts.objective != Objective::FirstFeasible || opts.registers.is_some()) {
+        return Err(
+            "--portfolio needs --objective noobj without --registers: the SAT backend's CNF \
+             has neither an objective nor a register-pressure (MaxLive) term, so it cannot \
+             answer any other question"
+                .into(),
+        );
     }
     Ok(opts)
 }

@@ -211,3 +211,58 @@ fn explain_subcommand_returns_the_finding_code_on_infeasible_ii() {
     assert!(!stdout.contains("feasible"), "stdout: {stdout}");
     assert!(stderr.contains("--registers"), "stderr: {stderr}");
 }
+
+#[test]
+fn portfolio_outside_noobj_is_a_usage_error() {
+    // The SAT backend's CNF has no objective and no MaxLive term, so the
+    // portfolio answers only the feasibility question. The default
+    // objective (minreg) or a register cap would leave it ILP-only without
+    // a word; the CLI refuses both as usage errors instead.
+    for args in [
+        &[
+            "examples/figure1.loop",
+            "--portfolio",
+            "--threads",
+            "1",
+            "--report",
+        ][..],
+        &[
+            "examples/figure1.loop",
+            "--portfolio",
+            "--objective",
+            "noobj",
+            "--registers",
+            "6",
+        ][..],
+    ] {
+        let out = run(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}\nstdout: {stdout}\nstderr: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?} solved anyway: {stdout}");
+        assert!(stderr.contains("--portfolio"), "stderr: {stderr}");
+    }
+
+    // The feasibility question itself: SAT decides first at every thread
+    // count, so two workers still settle figure1 through the SAT backend.
+    let ok = run(&[
+        "examples/figure1.loop",
+        "--portfolio",
+        "--objective",
+        "noobj",
+        "--threads",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert_eq!(
+        ok.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    assert!(stdout.contains("via sat-exact"), "stdout: {stdout}");
+}

@@ -1,37 +1,31 @@
-//! Cross-backend portfolio: the CDCL SAT core raced against the ILP, with
-//! a differential bug oracle between them.
+//! Cross-backend portfolio: the CDCL SAT core decides first, the ILP
+//! second, with a differential bug oracle between them.
 //!
 //! For a tentative `II` the portfolio asks two independently implemented
-//! decision procedures the same question — the branch-and-bound ILP over
-//! the 0-1-structured formulation, and `optimod-sat`'s CDCL solver over a
-//! CNF compiled from the very same model (honoring the presolve fixings as
-//! restricted slot domains). Arbitration rules:
+//! decision procedures the same question — `optimod-sat`'s CDCL solver over
+//! a CNF compiled from the built model (honoring the presolve fixings as
+//! restricted slot domains), then, unless SAT settled it, the
+//! branch-and-bound ILP over the 0-1-structured formulation itself, with
+//! `limits.threads` workers. The order is the same at every thread count,
+//! so portfolio results are deterministic and pinnable in the golden
+//! corpus. Arbitration rules:
 //!
 //! * a SAT schedule counts only after it passes the same exact-arithmetic
 //!   certification every ILP schedule passes — the SAT backend is
-//!   untrusted by design;
+//!   untrusted by design — and a certified one settles the `II` without
+//!   running the ILP;
 //! * a SAT *infeasible* verdict alone never escalates `II`: escalation
 //!   requires the ILP's own infeasibility proof;
-//! * when both backends return definitive, contradictory verdicts for the
-//!   same `II` — one side's witness certified, the other side proving the
-//!   instance infeasible — the run fails with
-//!   [`ScheduleError::BackendDisagreement`], carrying a greedily minimized
-//!   reproduction in the textual loop format. A disagreement is a hard bug
-//!   in a backend or the encoder, never a legitimate outcome.
-//!
-//! With one worker thread the two backends run *serially* (SAT first) so
-//! portfolio results are deterministic and pinnable in the golden corpus;
-//! with more threads they race on [`optimod_par::race2`], the first
-//! certified answer cancelling the loser through its
-//! [`StopFlag`](optimod_ilp::StopFlag) — whose partial statistics are
-//! still merged through the audited [`SolveStats::absorb`] path.
+//! * when SAT proves the `II` infeasible but the ILP's witness certifies,
+//!   the run fails with [`ScheduleError::BackendDisagreement`], carrying a
+//!   greedily minimized reproduction in the textual loop format. A
+//!   disagreement is a hard bug in a backend or the encoder, never a
+//!   legitimate outcome.
 
 use std::time::Duration;
 
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
-use optimod_ilp::{
-    panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus, StopFlag,
-};
+use optimod_ilp::{panic_message, SolveError, SolveLimits, SolveOutcome, SolveStats, SolveStatus};
 use optimod_machine::Machine;
 use optimod_sat::{encode, solve as sat_solve, SatLimits, SatOutcome, SlotDomains};
 use optimod_trace::TraceEvent;
@@ -212,10 +206,11 @@ pub(crate) fn minimize_repro(
 }
 
 impl OptimalScheduler {
-    /// One portfolio attempt at the built model's `II`: both backends
-    /// under the shared budget, with trace tagging and differential
-    /// arbitration. SAT-side statistics (and, on every early-return path,
-    /// the ILP side's) are folded into `state`; on the
+    /// One portfolio attempt at the built model's `II`. SAT decides first:
+    /// a certified SAT schedule settles the `II` without running the ILP;
+    /// anything weaker defers to the ILP's verdict, searched with
+    /// `limits.threads` workers. Both sides' statistics on every
+    /// early-return path are folded into `state`; on the
     /// [`PortfolioOutcome::Ilp`] path the caller absorbs the ILP outcome's
     /// statistics itself, exactly as in the non-portfolio flow.
     pub(crate) fn portfolio_attempt(
@@ -227,129 +222,14 @@ impl OptimalScheduler {
         state: &mut LoopState,
     ) -> PortfolioOutcome {
         let ii = built.ii;
-        let trace = self.config().limits.trace.clone();
+        let trace = &self.config().limits.trace;
         let domains = slot_domains(built);
-        if limits.resolve_threads() <= 1 {
-            // Serial, deterministic mode: SAT decides first. A certified
-            // SAT schedule settles the cell without running the ILP at
-            // all; anything weaker defers to the ILP's verdict.
-            let sat_res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sat_attempt(l, machine, ii, &domains, &limits, limits.stop.child())
-            }));
-            let verdict =
-                self.sat_settled(sat_res.map_err(|p| panic_message(p.as_ref())), ii, state);
-            if let SatVerdict::Schedule(s) = verdict {
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
-                return PortfolioOutcome::Sat(s);
-            }
-            let out = built.model.solve_with(limits);
-            let status = out.status;
-            trace.emit(|| TraceEvent::BackendResult {
-                backend: "ilp",
-                ii,
-                verdict: ilp_verdict_name(status),
-            });
-            let sat_unsat = matches!(verdict, SatVerdict::Infeasible);
-            return self.ilp_settled(l, machine, built, out, sat_unsat, state);
-        }
-
-        // Parallel mode: race the backends, first useful answer cancels
-        // the loser. `race2` still joins the loser, so its (partial)
-        // statistics are never dropped.
-        let ilp_stop = limits.stop.child();
-        let sat_stop = limits.stop.child();
-        let ilp_limits = SolveLimits {
-            stop: ilp_stop.clone(),
-            ..limits.clone()
-        };
-        let sat_stop_worker = sat_stop.clone();
-        let outcome = optimod_par::race2(
-            || built.model.solve_with(ilp_limits),
-            || self.sat_attempt(l, machine, ii, &domains, &limits, sat_stop_worker),
-            |first| match first {
-                optimod_par::Either::A(out) => {
-                    // An ILP schedule or infeasibility proof settles the
-                    // cell; only a limit leaves the SAT side a chance to
-                    // rescue it.
-                    if out.status != SolveStatus::LimitReached {
-                        sat_stop.stop();
-                    }
-                }
-                optimod_par::Either::B((verdict, _, _)) => {
-                    if matches!(verdict, SatVerdict::Schedule(_)) {
-                        ilp_stop.stop();
-                    }
-                }
-            },
-        );
-        let verdict = self.sat_settled(outcome.b, ii, state);
-        let ilp_out = match outcome.a {
-            Ok(out) => {
-                let status = out.status;
-                trace.emit(|| TraceEvent::BackendResult {
-                    backend: "ilp",
-                    ii,
-                    verdict: ilp_verdict_name(status),
-                });
-                Some(out)
-            }
-            Err(msg) => {
-                state.stats.panics_recovered += 1;
-                state.note(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
-                trace.emit(|| TraceEvent::BackendResult {
-                    backend: "ilp",
-                    ii,
-                    verdict: "unknown",
-                });
-                None
-            }
-        };
-        match verdict {
-            SatVerdict::Schedule(s) => {
-                if let Some(out) = &ilp_out {
-                    state.stats.absorb(&out.stats);
-                    if out.status == SolveStatus::Infeasible {
-                        let detail = "sat produced a certified schedule but the ilp proved \
-                                      the same II infeasible"
-                            .to_string();
-                        return PortfolioOutcome::Disagreement(
-                            self.disagreement(l, machine, ii, detail),
-                        );
-                    }
-                }
-                trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
-                PortfolioOutcome::Sat(s)
-            }
-            SatVerdict::Infeasible | SatVerdict::Unknown => {
-                let Some(out) = ilp_out else {
-                    // The ILP worker died and SAT has no certified answer:
-                    // report a limit so the escalation loop gives up
-                    // cleanly with the recorded panic as the cause.
-                    return PortfolioOutcome::Ilp(Box::new(SolveOutcome {
-                        status: SolveStatus::LimitReached,
-                        objective: f64::NAN,
-                        values: Vec::new(),
-                        best_bound: f64::NAN,
-                        stats: SolveStats::default(),
-                        error: None,
-                    }));
-                };
-                let sat_unsat = matches!(verdict, SatVerdict::Infeasible);
-                self.ilp_settled(l, machine, built, out, sat_unsat, state)
-            }
-        }
-    }
-
-    /// Folds one SAT run — or the panic that ended it — into `state` and
-    /// the trace, returning its verdict.
-    fn sat_settled(
-        &self,
-        run: Result<(SatVerdict, SolveStats, Option<ScheduleError>), String>,
-        ii: u32,
-        state: &mut LoopState,
-    ) -> SatVerdict {
-        let (verdict, sat_stats, sat_err) = run.unwrap_or_else(|msg| {
+        let sat_run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.sat_attempt(l, machine, ii, &domains, &limits)
+        }));
+        let (verdict, sat_stats, sat_err) = sat_run.unwrap_or_else(|p| {
             state.stats.panics_recovered += 1;
+            let msg = panic_message(p.as_ref());
             state.note(ScheduleError::Solver(SolveError::WorkerPanic(msg)));
             (SatVerdict::Unknown, SolveStats::default(), None)
         });
@@ -358,40 +238,39 @@ impl OptimalScheduler {
             state.note(e);
         }
         let verdict_name = verdict.name();
-        self.config()
-            .limits
-            .trace
-            .emit(|| TraceEvent::BackendResult {
-                backend: "sat",
-                ii,
-                verdict: verdict_name,
-            });
-        verdict
-    }
-
-    /// The ILP's outcome is authoritative unless a SAT unsat proof
-    /// (`sat_unsat`) contradicts a certified ILP schedule.
-    fn ilp_settled(
-        &self,
-        l: &Loop,
-        machine: &Machine,
-        built: &BuiltModel,
-        out: SolveOutcome,
-        sat_unsat: bool,
-        state: &mut LoopState,
-    ) -> PortfolioOutcome {
-        let ii = built.ii;
-        if sat_unsat {
-            if let Some(err) = self.check_unsat_disagreement(l, machine, built, &out, ii) {
-                state.stats.absorb(&out.stats);
-                return PortfolioOutcome::Disagreement(err);
+        trace.emit(|| TraceEvent::BackendResult {
+            backend: "sat",
+            ii,
+            verdict: verdict_name,
+        });
+        let sat_unsat = match verdict {
+            SatVerdict::Schedule(s) => {
+                trace.emit(|| TraceEvent::PortfolioWin { backend: "sat", ii });
+                return PortfolioOutcome::Sat(s);
             }
+            SatVerdict::Infeasible => true,
+            SatVerdict::Unknown => false,
+        };
+
+        let out = built.model.solve_with(limits);
+        let status = out.status;
+        trace.emit(|| TraceEvent::BackendResult {
+            backend: "ilp",
+            ii,
+            verdict: ilp_verdict_name(status),
+        });
+        // The ILP's outcome is authoritative unless the SAT unsat proof
+        // contradicts a certified ILP schedule. An ILP witness that does
+        // not certify is an ILP-side defect the normal packaging path
+        // reports, not a contradiction.
+        if sat_unsat && ilp_witness_certifies(l, machine, built, &out) {
+            state.stats.absorb(&out.stats);
+            let detail = "sat proved the II infeasible but the ilp schedule passed certification"
+                .to_string();
+            return PortfolioOutcome::Disagreement(self.disagreement(l, machine, ii, detail));
         }
-        if out.status.has_solution() {
-            self.config()
-                .limits
-                .trace
-                .emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
+        if status.has_solution() {
+            trace.emit(|| TraceEvent::PortfolioWin { backend: "ilp", ii });
         }
         PortfolioOutcome::Ilp(Box::new(out))
     }
@@ -410,13 +289,12 @@ impl OptimalScheduler {
         ii: u32,
         domains: &SlotDomains,
         limits: &SolveLimits,
-        stop: StopFlag,
     ) -> (SatVerdict, SolveStats, Option<ScheduleError>) {
         let sat_limits = SatLimits {
             time_limit: limits.time_limit,
             conflict_limit: limits.node_limit,
             seed: 0x5A7 ^ u64::from(ii),
-            stop,
+            stop: limits.stop.clone(),
             fault: limits.fault.clone(),
         };
         let enc = encode(l, machine, ii, domains, &self.config().sat_encode);
@@ -468,32 +346,6 @@ impl OptimalScheduler {
         }
     }
 
-    /// The oracle's SAT-unsat arm: SAT proved `ii` infeasible; if the ILP
-    /// found a schedule *and* that schedule certifies, the backends are in
-    /// certified contradiction.
-    fn check_unsat_disagreement(
-        &self,
-        l: &Loop,
-        machine: &Machine,
-        built: &BuiltModel,
-        out: &SolveOutcome,
-        ii: u32,
-    ) -> Option<ScheduleError> {
-        if !out.status.has_solution() {
-            return None;
-        }
-        let schedule = built.try_extract_schedule(out).ok()?;
-        let claim = optimod_verify::Claim::feasibility(l, machine, ii, schedule.times(), false);
-        if optimod_verify::certify(&claim).is_err() {
-            // The ILP's witness does not even certify: an ILP-side defect
-            // the normal packaging path reports; no certified contradiction.
-            return None;
-        }
-        let detail =
-            "sat proved the II infeasible but the ilp schedule passed certification".to_string();
-        Some(self.disagreement(l, machine, ii, detail))
-    }
-
     /// Builds the [`ScheduleError::BackendDisagreement`], minimizing the
     /// instance first: an edge drop is kept whenever the (bounded) re-check
     /// still shows a certified contradiction at `ii`.
@@ -510,8 +362,8 @@ impl OptimalScheduler {
         ScheduleError::BackendDisagreement { ii, detail, repro }
     }
 
-    /// Bounded re-check of a candidate instance: do the two backends still
-    /// contradict each other with certified verdicts at `ii`?
+    /// Bounded re-check of a candidate instance: does SAT still refute
+    /// `ii` while the ILP's schedule still certifies?
     fn disagreement_persists(&self, l: &Loop, machine: &Machine, ii: u32) -> bool {
         let Some((built, _)) = self.build(l, machine, ii) else {
             return false;
@@ -524,7 +376,9 @@ impl OptimalScheduler {
             seed: 0x5A7 ^ u64::from(ii),
             ..Default::default()
         };
-        let (sat_out, _) = sat_solve(&enc.cnf, &sat_limits);
+        if !matches!(sat_solve(&enc.cnf, &sat_limits).0, SatOutcome::Unsat) {
+            return false;
+        }
         let ilp_limits = SolveLimits {
             time_limit: Duration::from_secs(2),
             node_limit: 20_000,
@@ -533,31 +387,20 @@ impl OptimalScheduler {
             ..Default::default()
         };
         let out = built.model.solve_with(ilp_limits);
-        match sat_out {
-            SatOutcome::Sat(model) => {
-                let Ok(times) = enc.decode(&model) else {
-                    return false;
-                };
-                out.status == SolveStatus::Infeasible
-                    && optimod_verify::certify(&optimod_verify::Claim::feasibility(
-                        l, machine, ii, &times, false,
-                    ))
-                    .is_ok()
-            }
-            SatOutcome::Unsat => {
-                out.status.has_solution()
-                    && built.try_extract_schedule(&out).is_ok_and(|s| {
-                        optimod_verify::certify(&optimod_verify::Claim::feasibility(
-                            l,
-                            machine,
-                            ii,
-                            s.times(),
-                            false,
-                        ))
-                        .is_ok()
-                    })
-            }
-            SatOutcome::Unknown => false,
-        }
+        ilp_witness_certifies(l, machine, &built, &out)
     }
+}
+
+/// Whether the ILP found a schedule that passes exact certification.
+fn ilp_witness_certifies(
+    l: &Loop,
+    machine: &Machine,
+    built: &BuiltModel,
+    out: &SolveOutcome,
+) -> bool {
+    out.status.has_solution()
+        && built.try_extract_schedule(out).is_ok_and(|s| {
+            let claim = optimod_verify::Claim::feasibility(l, machine, built.ii, s.times(), false);
+            optimod_verify::certify(&claim).is_ok()
+        })
 }

@@ -123,9 +123,9 @@ impl FallbackConfig {
 pub enum Provenance {
     /// Rung 1: the exact ILP over the full scheduling space.
     Exact,
-    /// The portfolio's CDCL SAT backend won the race with a certified
-    /// schedule. Exact for throughput (same `II` search, certified feasible
-    /// witness), but carries no secondary-objective claim — the portfolio
+    /// The portfolio's CDCL SAT backend, which decides first, settled the
+    /// `II` with a certified schedule. Exact for throughput (same `II`
+    /// search, certified feasible witness), but carries no secondary-objective claim — the portfolio
     /// only runs for [`Objective::FirstFeasible`].
     SatExact,
     /// Rung 2: IMS rows with ILP-optimal stage assignment.
@@ -174,16 +174,15 @@ pub struct SchedulerConfig {
     /// Hard register-file constraint (`MaxLive <= limit`); `None` means
     /// unlimited registers, as in the paper's experiments.
     pub register_limit: Option<u32>,
-    /// Cross-backend portfolio: at each tentative `II`, ask the
-    /// `optimod-sat` CDCL backend and the ILP the same feasibility
-    /// question, first certified answer wins, and a differential oracle
-    /// fails the run on any certified contradiction (see
-    /// [`ScheduleError::BackendDisagreement`]). Only active for
-    /// [`Objective::FirstFeasible`] without a [`Self::register_limit`] —
-    /// the CNF has neither an objective nor a MaxLive term — otherwise the
-    /// run is silently ILP-only. With one worker thread the
-    /// backends run serially (SAT first, deterministic); with more they
-    /// race. Off by default.
+    /// Cross-backend portfolio: at each tentative `II`, the `optimod-sat`
+    /// CDCL backend decides first and a certified SAT schedule settles the
+    /// `II`; otherwise the ILP decides, with `limits.threads` workers. A
+    /// differential oracle fails the run on any certified contradiction
+    /// (see [`ScheduleError::BackendDisagreement`]). Deterministic at every
+    /// thread count. Only active for [`Objective::FirstFeasible`] without a
+    /// [`Self::register_limit`] — the CNF has neither an objective nor a
+    /// MaxLive term — otherwise the run is ILP-only (the CLI refuses
+    /// `--portfolio` there). Off by default.
     pub portfolio: bool,
     /// CNF encoder options for the portfolio's SAT backend. The default is
     /// the faithful encoding; the sabotaged variants exist so tests can
@@ -1055,7 +1054,7 @@ mod tests {
                 portfolio: true,
                 ..Default::default()
             };
-            cfg.limits.threads = 1; // serial, deterministic portfolio
+            cfg.limits.threads = 1;
             let r = OptimalScheduler::new(cfg).schedule(&l, &m);
             assert_eq!(r.status, baseline.status, "{}", l.name());
             assert_eq!(r.ii, baseline.ii, "{}", l.name());
@@ -1080,7 +1079,7 @@ mod tests {
         };
         cfg.limits.threads = 1;
         let r = OptimalScheduler::new(cfg).schedule(&l, &m);
-        // Serial mode runs SAT first; figure1 at II 2 is easy, so the SAT
+        // The portfolio runs SAT first; figure1 at II 2 is easy, so the SAT
         // backend settles the cell before the ILP is even consulted.
         assert_eq!(r.status, LoopStatus::Optimal);
         assert_eq!(r.ii, Some(2));
@@ -1135,9 +1134,10 @@ mod tests {
         assert_eq!(r.status, baseline.status);
         assert_eq!(r.ii, baseline.ii);
         assert_eq!(r.schedule.unwrap().validate(&l, &m), None);
-        // Whichever backend won, the loser's partial counters were merged
-        // through the audited absorb path: the SAT side always at least
-        // loaded the problem.
+        // SAT decides first at every thread count, so the two-worker run
+        // settles lfk5 exactly as the serial one does, and SAT's counters
+        // were merged through the audited absorb path.
+        assert_eq!(r.provenance, Some(Provenance::SatExact));
         assert!(r.stats.sat_propagations > 0 || r.stats.sat_decisions > 0);
     }
 

@@ -943,8 +943,8 @@ mod tests {
     /// `Infeasible`: workers drain on the caller's stop flag without
     /// setting the internal limit marker, and before the explicit
     /// caller-stop check in the finish path an empty pool with no incumbent
-    /// was misreported as an infeasibility proof — which the cross-backend
-    /// portfolio then escalated into a phantom backend disagreement.
+    /// was misreported as an infeasibility proof, which a caller's II
+    /// ladder would take as licence to escalate.
     #[test]
     fn parallel_stop_is_a_limit_not_an_infeasibility_proof() {
         for delay_us in [0u64, 20, 50, 100, 200, 500, 1000, 2000] {
@@ -962,7 +962,7 @@ mod tests {
                 });
                 let out = m.solve_with(limits);
                 match out.status {
-                    // Won the race outright, or was cut off: both fine.
+                    // Finished before the stop, or was cut off: both fine.
                     SolveStatus::Optimal | SolveStatus::Feasible | SolveStatus::LimitReached => {}
                     SolveStatus::Infeasible => {
                         panic!("delay {delay_us}us: cancellation forged an infeasibility proof")

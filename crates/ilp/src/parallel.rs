@@ -729,7 +729,7 @@ pub(crate) fn solve(
     // infeasibility proof: workers drain without touching `limit_hit` when
     // the parent flag stops them mid-search, and an exhausted-looking pool
     // with no incumbent would otherwise be misreported as `Infeasible` —
-    // unsound for anyone (the cross-backend portfolio) who treats
+    // unsound for anyone (the II ladder, the portfolio's oracle) who treats
     // infeasibility as a certificate.
     let limit_hit = shared.limit_hit.load(Ordering::Acquire) || limits.stop.is_stopped();
     let error = shared.error.lock().expect("error lock poisoned").take();

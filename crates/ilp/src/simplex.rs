@@ -177,8 +177,8 @@ pub struct SimplexOptions {
     /// Cooperative cancellation, checked alongside the deadline inside the
     /// pivot loop; a stop reports [`LpStatus::IterLimit`]. Unlike the
     /// poll-only deadline this lets *another thread* interrupt a solve —
-    /// the parallel branch-and-bound and the scheduler's cross-backend
-    /// portfolio race both rely on it.
+    /// the parallel branch-and-bound relies on it, and so does a caller's
+    /// (or the daemon's) stop.
     pub stop: StopFlag,
     /// Deterministic fault injection ([`FaultSite::SimplexPivot`] fires one
     /// hit per pivot-loop iteration, primal or dual). Disabled by default.

@@ -21,8 +21,8 @@ pub enum SolveError {
         /// Pivots performed by the stalled LP before it was abandoned.
         iterations: u64,
     },
-    /// A worker thread of the parallel search (or a portfolio racer)
-    /// panicked; the payload is the panic message.
+    /// A worker thread of the parallel search (or the portfolio's SAT
+    /// backend) panicked; the payload is the panic message.
     WorkerPanic(String),
 }
 
@@ -141,7 +141,7 @@ pub struct SolveStats {
     /// ([`LpStatus::Stalled`](crate::LpStatus)).
     pub stalled_lps: u64,
     /// Worker panics caught and recovered by the parallel search (and the
-    /// scheduler's portfolio racers).
+    /// scheduler's portfolio, around its SAT backend).
     pub panics_recovered: u64,
     /// Injections of the solve's [`FaultPlan`](crate::FaultPlan) that
     /// tripped during this solve (0 when no plan is armed).

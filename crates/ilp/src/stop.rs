@@ -9,10 +9,9 @@ use std::sync::Arc;
 /// [`StopFlag::stop`] on any clone stops every holder. [`StopFlag::child`]
 /// creates a *derived* flag that also observes its parent — stopping the
 /// parent stops every descendant, while stopping a child leaves the parent
-/// (and its other children) running. This is how the scheduler races two
-/// candidate `II` values: each racer gets a child of the caller's flag, so
-/// the loser can be cancelled individually while a user-level stop still
-/// reaches both.
+/// (and its other children) running. This is how the parallel search
+/// stops its own workers on a first solution while a user-level stop still
+/// reaches every nested solve.
 ///
 /// ```
 /// use optimod_ilp::StopFlag;

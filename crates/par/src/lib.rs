@@ -80,117 +80,6 @@ where
     pairs.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Which side of a [`race2`] finished first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum First {
-    /// The `fa` closure delivered its result first.
-    A,
-    /// The `fb` closure delivered its result first.
-    B,
-}
-
-/// A borrowed view of whichever result arrived first in a [`race2`].
-#[derive(Debug)]
-pub enum Either<'r, A, B> {
-    /// `fa` finished first; its result.
-    A(&'r A),
-    /// `fb` finished first; its result.
-    B(&'r B),
-}
-
-/// Outcome of racing two closures: both results, with a panicked side
-/// reported as `Err` carrying its panic message, plus which side crossed
-/// the line first.
-#[derive(Debug)]
-pub struct RaceOutcome<A, B> {
-    /// Result of `fa` (`Err` if it panicked).
-    pub a: Result<A, String>,
-    /// Result of `fb` (`Err` if it panicked).
-    pub b: Result<B, String>,
-    /// Which side finished first.
-    pub first: First,
-}
-
-/// Races two closures on scoped threads and collects *both* results.
-///
-/// As soon as one side completes (without panicking), `on_first` runs on
-/// the caller's thread with a borrowed view of the early result — the hook
-/// where a portfolio trips a `StopFlag` to cancel the losing side. The
-/// loser is then still joined and its result returned, so no work (solver
-/// statistics, partial verdicts) is ever dropped on the floor.
-///
-/// Panics in either closure are caught and reported as `Err(message)`; a
-/// panicked first-finisher does not invoke `on_first` (the surviving side's
-/// completion does, if it comes second — `on_first` runs for the first
-/// *successful* result).
-pub fn race2<A, B, FA, FB, H>(fa: FA, fb: FB, on_first: H) -> RaceOutcome<A, B>
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    H: FnOnce(Either<'_, A, B>),
-{
-    enum Msg<A, B> {
-        A(Result<A, String>),
-        B(Result<B, String>),
-    }
-    let panic_text = |p: Box<dyn std::any::Any + Send>| -> String {
-        if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    };
-    let (tx, rx) = std::sync::mpsc::channel::<Msg<A, B>>();
-    let txb = tx.clone();
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fa)).map_err(panic_text);
-            let _ = tx.send(Msg::A(r));
-        });
-        scope.spawn(move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fb)).map_err(panic_text);
-            let _ = txb.send(Msg::B(r));
-        });
-        let first_msg = rx.recv().expect("racer dropped its channel");
-        let first = match &first_msg {
-            Msg::A(_) => First::A,
-            Msg::B(_) => First::B,
-        };
-        let mut hook = Some(on_first);
-        match &first_msg {
-            Msg::A(Ok(a)) => (hook.take().expect("hook armed"))(Either::A(a)),
-            Msg::B(Ok(b)) => (hook.take().expect("hook armed"))(Either::B(b)),
-            _ => {}
-        }
-        let second_msg = rx.recv().expect("racer dropped its channel");
-        if let Some(hook) = hook {
-            // The first finisher panicked: give the hook the surviving
-            // side's result instead, if it has one.
-            match &second_msg {
-                Msg::A(Ok(a)) => hook(Either::A(a)),
-                Msg::B(Ok(b)) => hook(Either::B(b)),
-                _ => {}
-            }
-        }
-        let (mut a, mut b) = (None, None);
-        for msg in [first_msg, second_msg] {
-            match msg {
-                Msg::A(r) => a = Some(r),
-                Msg::B(r) => b = Some(r),
-            }
-        }
-        RaceOutcome {
-            a: a.expect("side A reported"),
-            b: b.expect("side B reported"),
-            first,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,54 +110,5 @@ mod tests {
             par_map(0, &items, |i, _| i),
             (0..16).collect::<Vec<usize>>()
         );
-    }
-
-    #[test]
-    fn race2_returns_both_results() {
-        let out = race2(|| 1 + 1, || "two", |_| {});
-        assert_eq!(out.a, Ok(2));
-        assert_eq!(out.b, Ok("two"));
-    }
-
-    #[test]
-    fn race2_fast_side_finishes_first_and_hook_sees_it() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let hook_saw_fast = AtomicBool::new(false);
-        let out = race2(
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                "slow"
-            },
-            || "fast",
-            |first| {
-                if let Either::B(&"fast") = first {
-                    hook_saw_fast.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        assert_eq!(out.first, First::B);
-        assert!(hook_saw_fast.load(Ordering::Relaxed));
-        assert_eq!(out.a, Ok("slow"));
-    }
-
-    #[test]
-    fn race2_reports_a_panicked_side_and_still_runs_the_hook() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let hook_ran = AtomicBool::new(false);
-        let out = race2(
-            || -> u32 { panic!("boom") },
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                7u32
-            },
-            |first| {
-                // The panicked side never reaches the hook; the survivor does.
-                assert!(matches!(first, Either::B(7)));
-                hook_ran.store(true, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(out.a.unwrap_err(), "boom");
-        assert_eq!(out.b, Ok(7));
-        assert!(hook_ran.load(Ordering::Relaxed));
     }
 }

@@ -67,8 +67,9 @@ echo "==> fixed-seed chaos sweep (fault injection)"
 # 64 seeded fault plans x 3 kernels x (plain + portfolio): every run must
 # end in a certified schedule or a clean typed degradation — zero escaped
 # panics, balanced trace streams, and no injected fault may ever
-# manufacture a cross-backend disagreement. Failures name their seed:
-# optimod --chaos SEED <loop>.
+# manufacture a cross-backend disagreement. Odd seeds run two threads:
+# for portfolio cells that is serial SAT, then a two-worker ILP. Failures
+# name their seed: optimod --chaos SEED <loop>.
 cargo run --release -q -p optimod-bench --bin chaos_sweep
 
 echo "==> SAT encoder round-trip properties (vs the real ILP)"
@@ -79,17 +80,14 @@ echo "==> SAT encoder round-trip properties (vs the real ILP)"
 cargo test -q -p optimod-sat --test encoding_properties
 
 echo "==> cross-backend portfolio over the golden corpus"
-# All 22 golden cells under --portfolio (serial and raced): certified II
-# identical to ILP-only everywhere, zero disagreements, SAT winning at
-# least one cell outright, and the differential oracle demonstrably
-# catching a deliberately sabotaged encoder with a minimized repro.
+# All 22 golden cells under --portfolio at 1 and 2 threads: certified II
+# identical to ILP-only everywhere, the same winner and provenance at both
+# thread counts, zero disagreements, SAT winning at least one cell
+# outright; at every II up to II* both backends, run to completion
+# independently, agree (infeasible below II*, certified witnesses at it);
+# and the differential oracle demonstrably catches a deliberately
+# sabotaged encoder with a minimized repro.
 cargo run --release -q -p optimod-bench --bin portfolio_corpus
-
-echo "==> portfolio win-rate / latency snapshot"
-# Times every golden cell under ILP-only, serial portfolio, and the
-# two-thread race; asserts the certified IIs agree and writes
-# BENCH_portfolio.json with per-cell winners.
-cargo run --release -q -p optimod-bench --bin bench_portfolio
 
 echo "==> daemon smoke (solve twice, second must be a certified cache hit)"
 # Start a real optimodd on a temp socket with a temp cache, schedule the
