@@ -1,6 +1,6 @@
 //! Per-node LP re-solve microbenchmark: dense vs sparse engine, warm vs
 //! cold restart, on the large generated loops where the basis dimension
-//! actually hurts. Writes `BENCH_simplex.json` and enforces a pinned
+//! actually hurts. Prints a per-loop table and enforces a pinned
 //! non-regression gate on the headline ratio.
 //!
 //! What is measured, per generated loop (N >= 40 operations, scheduling
@@ -14,17 +14,12 @@
 //!
 //! The headline number is the geometric mean, across loops, of
 //! `dense cold / sparse warm` per-child re-solve time: the speedup a
-//! branch-and-bound node actually sees from this PR. The gate (default
-//! 2.0, override with `OPTIMOD_BENCH_MIN_RATIO`) fails the process when
-//! the geomean drops below it, so `scripts/check.sh` pins the win.
+//! branch-and-bound node actually sees from the sparse engine. The gate
+//! (`MIN_RATIO`) fails the process when the geomean drops below it, so
+//! `scripts/check.sh` pins the win.
 //!
 //! Run: `cargo run --release -p optimod-bench --bin bench_simplex`
-//!
-//! Knobs: `OPTIMOD_BENCH_LOOPS` (loop count, default 5),
-//! `OPTIMOD_BENCH_CHILDREN` (children per loop, default 6),
-//! `OPTIMOD_BENCH_MIN_RATIO` (gate, default 2.0).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use optimod::{build_model, compute_mii, BuiltModel, FormulationConfig};
@@ -32,12 +27,12 @@ use optimod_ddg::generator::{generate_loop, GeneratorConfig};
 use optimod_ilp::{LpStatus, Simplex, SimplexEngine, SimplexOptions, WarmStart};
 use optimod_machine::example_3fu;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Generated loops measured (seeds 1000..).
+const LOOPS: usize = 5;
+/// Simulated branch-and-bound children re-solved per loop.
+const CHILDREN: usize = 6;
+/// The geomean per-node re-solve speedup below which the gate fails.
+const MIN_RATIO: f64 = 2.0;
 
 fn opts_for(engine: SimplexEngine) -> SimplexOptions {
     SimplexOptions {
@@ -241,24 +236,17 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
 }
 
 fn main() {
-    let loops = env_usize("OPTIMOD_BENCH_LOOPS", 5);
-    let children = env_usize("OPTIMOD_BENCH_CHILDREN", 6);
-    let min_ratio: f64 = std::env::var("OPTIMOD_BENCH_MIN_RATIO")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-
     println!(
-        "Per-node LP re-solve benchmark — {loops} generated loops (N >= 40), \
-         {children} simulated children each\n"
+        "Per-node LP re-solve benchmark — {LOOPS} generated loops (N >= 40), \
+         {CHILDREN} simulated children each\n"
     );
     println!(
         "{:<14} {:>4} {:>5} {:>12} {:>12} {:>12} {:>8} {:>8}",
         "loop", "ops", "rows", "dense-cold", "sparse-cold", "sparse-warm", "node-spd", "warm-hit"
     );
 
-    let rows: Vec<Row> = (0..loops as u64)
-        .map(|seed| measure_loop(1000 + seed, children))
+    let rows: Vec<Row> = (0..LOOPS as u64)
+        .map(|seed| measure_loop(1000 + seed, CHILDREN))
         .collect();
     for r in &rows {
         println!(
@@ -296,44 +284,12 @@ fn main() {
     println!("geomean warm-start speedup (sparse cold -> sparse warm):       {warm_speedup:.2}x");
     println!("geomean root-solve speedup (dense -> sparse):                  {root_speedup:.2}x");
 
-    let mut json = String::from("{\n  \"loops\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"ops\": {}, \"rows\": {}, \
-             \"root_dense_ns\": {}, \"root_sparse_ns\": {}, \
-             \"dense_cold_ns\": {}, \"sparse_cold_ns\": {}, \"sparse_warm_ns\": {}, \
-             \"warm_taken\": {}, \"children\": {}}}{}",
-            r.name,
-            r.ops,
-            r.rows,
-            r.root_dense_ns,
-            r.root_sparse_ns,
-            r.dense_cold_ns,
-            r.sparse_cold_ns,
-            r.sparse_warm_ns,
-            r.warm_taken,
-            r.children,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"geomean_node_resolve_speedup\": {node_speedup:.4},\n  \
-         \"geomean_engine_speedup\": {engine_speedup:.4},\n  \
-         \"geomean_warm_speedup\": {warm_speedup:.4},\n  \
-         \"geomean_root_speedup\": {root_speedup:.4},\n  \
-         \"min_ratio_gate\": {min_ratio:.4}\n}}\n"
-    );
-    std::fs::write("BENCH_simplex.json", &json).expect("write BENCH_simplex.json");
-    println!("\nwrote BENCH_simplex.json");
-
-    if node_speedup < min_ratio {
+    if node_speedup < MIN_RATIO {
         eprintln!(
             "FAIL: per-node re-solve speedup {node_speedup:.2}x is below the pinned \
-             non-regression ratio {min_ratio:.2}x"
+             non-regression ratio {MIN_RATIO:.2}x"
         );
         std::process::exit(1);
     }
-    println!("gate: {node_speedup:.2}x >= {min_ratio:.2}x — ok");
+    println!("\ngate: {node_speedup:.2}x >= {MIN_RATIO:.2}x — ok");
 }

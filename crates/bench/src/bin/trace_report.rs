@@ -2,8 +2,7 @@
 //! corpus under both formulations with a per-loop [`MemorySink`] attached,
 //! prints percentile tables (per-phase wall clock from the traces,
 //! branch-and-bound and LP counters from each loop's `SolveStats`), and
-//! writes `BENCH_trace.json` with the absorbed `SolveStats` totals per
-//! formulation.
+//! the absorbed `SolveStats` totals per formulation.
 //!
 //! The per-loop solves are single-threaded, so the counters are the same
 //! ones `fig2_bb_nodes` and the tables report — the trace layer adds the
@@ -35,7 +34,6 @@ fn main() {
         cfg.budget.as_millis()
     );
 
-    let mut runs = Vec::new();
     for style in [DepStyle::Traditional, DepStyle::Structured] {
         eprintln!("running MinReg / {style:?} ...");
         let traced = cfg.run_suite_traced(&machine, &loops, style, Objective::MinMaxLive);
@@ -50,8 +48,6 @@ fn main() {
             &format!("MinReg / {} formulation:", style_name(style)),
             &traced,
         );
-        println!();
-
         let scheduled = traced
             .iter()
             .filter(|(r, _)| r.result.status.scheduled())
@@ -60,14 +56,10 @@ fn main() {
         for (r, _) in &traced {
             totals.absorb(&r.result.stats);
         }
-        runs.push(format!(
-            "    {{\"style\": \"{}\", \"loops\": {}, \"scheduled\": {scheduled}, \"stats\": {}}}",
-            style_name(style),
-            loops.len(),
-            totals.to_json()
-        ));
+        println!("  totals: {scheduled} of {} loops scheduled", loops.len());
+        for line in totals.render().lines() {
+            println!("  {line}");
+        }
+        println!();
     }
-    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", runs.join(",\n"));
-    std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
-    println!("wrote BENCH_trace.json");
 }

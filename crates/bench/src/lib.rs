@@ -5,7 +5,9 @@
 //! formulations, and the paper's `min / freq / median / average / max`
 //! summary statistics (Tables 1 and 2).
 //!
-//! Environment knobs (all binaries):
+//! Environment knobs (read by [`ExperimentConfig::from_env`]; the
+//! `trace_overhead` gate uses the default configuration and honours only
+//! `OPTIMOD_THREADS`):
 //!
 //! * `OPTIMOD_CORPUS` — `small` (default), `medium`, or `full` (1327
 //!   loops, like the paper; slow).
@@ -79,6 +81,20 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// Parses the value of the numeric knob `name` (`None` when unset). An
+/// unparsable value is reported on stderr and ignored, like an unset one,
+/// so the default stays in force visibly rather than silently.
+fn parse_u64_knob(name: &str, value: Option<&str>) -> Option<u64> {
+    let value = value?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            eprintln!("ignoring invalid {name}={value}");
+            None
+        }
+    }
+}
+
 impl ExperimentConfig {
     /// Reads `OPTIMOD_CORPUS`, `OPTIMOD_BUDGET_MS`, and `OPTIMOD_NODE_CAP`.
     /// (`OPTIMOD_THREADS` is resolved lazily by the parallel driver.)
@@ -90,15 +106,12 @@ impl ExperimentConfig {
             Ok("small") | Err(_) => {}
             Ok(other) => eprintln!("ignoring unknown OPTIMOD_CORPUS={other}"),
         }
-        if let Ok(ms) = std::env::var("OPTIMOD_BUDGET_MS") {
-            if let Ok(ms) = ms.parse::<u64>() {
-                cfg.budget = Duration::from_millis(ms);
-            }
+        let knob = |name| parse_u64_knob(name, std::env::var(name).ok().as_deref());
+        if let Some(ms) = knob("OPTIMOD_BUDGET_MS") {
+            cfg.budget = Duration::from_millis(ms);
         }
-        if let Ok(cap) = std::env::var("OPTIMOD_NODE_CAP") {
-            if let Ok(cap) = cap.parse::<u64>() {
-                cfg.node_cap = cap;
-            }
+        if let Some(cap) = knob("OPTIMOD_NODE_CAP") {
+            cfg.node_cap = cap;
         }
         cfg
     }
@@ -533,6 +546,14 @@ mod tests {
         let cfg = ExperimentConfig::default();
         assert_eq!(cfg.corpus, CorpusSize::Small);
         assert_eq!(cfg.budget, Duration::from_millis(2000));
+    }
+
+    #[test]
+    fn numeric_knobs_parse_or_are_ignored() {
+        assert_eq!(parse_u64_knob("OPTIMOD_BUDGET_MS", Some("750")), Some(750));
+        assert_eq!(parse_u64_knob("OPTIMOD_BUDGET_MS", Some("2s")), None);
+        assert_eq!(parse_u64_knob("OPTIMOD_NODE_CAP", Some("")), None);
+        assert_eq!(parse_u64_knob("OPTIMOD_NODE_CAP", None), None);
     }
 
     #[test]

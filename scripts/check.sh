@@ -3,6 +3,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gates print and exit; none may write into the tree. Snapshot the
+# working-tree status now and compare it at the end. perfbench/Cargo.lock
+# is excluded: it is stale (it still lists a dependency the workspace
+# dropped), so cargo rewrites it on every perfbench build until a
+# benchmark change commits the refreshed lockfile.
+tree_status() {
+    git status --porcelain --untracked-files=all | grep -v ' perfbench/Cargo.lock$' || true
+}
+TREE_BEFORE="$(tree_status)"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -148,8 +158,8 @@ cargo run --release -q -p optimod-bench --bin cache_bound
 
 echo "==> daemon cache-hit latency gate"
 # Cold-solve vs cache-hit round-trip latency (p50/p99) per golden kernel
-# through a real daemon; writes BENCH_daemon.json and fails unless the
-# best cold/hit p50 speedup stays >= 100x (OPTIMOD_DAEMON_GATE tunes).
+# through a real daemon; fails unless the best cold/hit p50 speedup stays
+# >= 100x.
 cargo run --release -q -p optimod-bench --bin bench_daemon
 
 echo "==> dense-vs-sparse engine A/B differential (end to end)"
@@ -162,16 +172,21 @@ cargo test -q --test ab_engines_end_to_end
 echo "==> per-node LP re-solve benchmark (sparse + warm-start gate)"
 # Simulated branch-and-bound children on generated loops (N >= 40):
 # geometric-mean dense-cold -> sparse-warm re-solve speedup must stay
-# above the pinned non-regression ratio (default 2x). Writes
-# BENCH_simplex.json.
+# above the pinned non-regression ratio (2x).
 cargo run --release -q -p optimod-bench --bin bench_simplex
 
 echo "==> null-sink trace overhead (fig2 micro-run)"
 # The observability layer must stay free when enabled with a no-op sink:
 # a fig2-style corpus slice (24 loops, ~80 s total), disabled trace vs
-# NullSink, fails the build when the traced run is >5% slower. Shrinking
-# the slice below the default makes scheduler noise dominate the ratio —
-# tune with OPTIMOD_OVERHEAD_MAX / OPTIMOD_BENCH_LOOPS only if you must.
+# NullSink, fails the build when the traced run is >5% slower.
 cargo run --release -q -p optimod-bench --bin trace_overhead
+
+echo "==> the checks left the working tree as they found it"
+TREE_AFTER="$(tree_status)"
+if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
+    echo "tree guard: the checks changed the working tree:"
+    diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") || true
+    exit 1
+fi
 
 echo "All checks passed."
