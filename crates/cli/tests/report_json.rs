@@ -72,7 +72,8 @@ fn members(json: &str) -> (&str, &str) {
 }
 
 /// Asserts every rendered section has its key; returns the sections seen
-/// (stats section names, then report prefixes).
+/// (stats section names and `section.key` counters, then report
+/// prefixes).
 fn assert_every_section_has_a_key(args: &[&str]) -> Vec<String> {
     let (report, json) = report_and_json(args);
     let (stats, trace) = members(&json);
@@ -89,6 +90,7 @@ fn assert_every_section_has_a_key(args: &[&str]) -> Vec<String> {
                 stats.contains(&format!("\"{key}\":{value}")),
                 "{args:?}: stats line {line:?} disagrees with {stats}"
             );
+            seen.push(format!("{section}.{key}"));
         }
         seen.push(section.to_string());
     }
@@ -122,6 +124,7 @@ fn report_json_carries_every_rendered_section() {
     ]);
     for section in [
         "presolve",
+        "time.factor_us",
         "certificates:",
         "node closes by outcome:",
         "fallback rungs:",

@@ -536,6 +536,7 @@ impl Search<'_> {
         self.stats.eta_pivots += lp.eta_pivots;
         self.stats.ftran_time += Duration::from_nanos(lp.ftran_nanos);
         self.stats.btran_time += Duration::from_nanos(lp.btran_nanos);
+        self.stats.factor_time += Duration::from_nanos(lp.factor_nanos);
         match lp.warm {
             WarmStart::Taken => self.stats.warm_starts += 1,
             WarmStart::Abandoned => self.stats.warm_abandoned += 1,

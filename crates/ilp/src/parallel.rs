@@ -94,6 +94,7 @@ struct Shared<'a> {
     warm_abandoned: AtomicU64,
     ftran_nanos: AtomicU64,
     btran_nanos: AtomicU64,
+    factor_nanos: AtomicU64,
     stalled_lps: AtomicU64,
     panics_recovered: AtomicU64,
     limit_hit: AtomicBool,
@@ -345,6 +346,9 @@ fn expand_node(
     shared
         .btran_nanos
         .fetch_add(lp.btran_nanos, Ordering::Relaxed);
+    shared
+        .factor_nanos
+        .fetch_add(lp.factor_nanos, Ordering::Relaxed);
     match lp.warm {
         WarmStart::Taken => {
             shared.warm_starts.fetch_add(1, Ordering::Relaxed);
@@ -552,6 +556,7 @@ pub(crate) fn solve(
     stats.eta_pivots += lp.eta_pivots;
     stats.ftran_time += std::time::Duration::from_nanos(lp.ftran_nanos);
     stats.btran_time += std::time::Duration::from_nanos(lp.btran_nanos);
+    stats.factor_time += std::time::Duration::from_nanos(lp.factor_nanos);
     trace.emit(|| TraceEvent::LpSolved {
         worker: 0,
         class: lp_class(lp.status),
@@ -647,6 +652,7 @@ pub(crate) fn solve(
         warm_abandoned: AtomicU64::new(0),
         ftran_nanos: AtomicU64::new(0),
         btran_nanos: AtomicU64::new(0),
+        factor_nanos: AtomicU64::new(0),
         stalled_lps: AtomicU64::new(0),
         panics_recovered: AtomicU64::new(0),
         limit_hit: AtomicBool::new(false),
@@ -722,6 +728,8 @@ pub(crate) fn solve(
     stats.warm_abandoned += shared.warm_abandoned.load(Ordering::Relaxed);
     stats.ftran_time += std::time::Duration::from_nanos(shared.ftran_nanos.load(Ordering::Relaxed));
     stats.btran_time += std::time::Duration::from_nanos(shared.btran_nanos.load(Ordering::Relaxed));
+    stats.factor_time +=
+        std::time::Duration::from_nanos(shared.factor_nanos.load(Ordering::Relaxed));
     stats.stalled_lps += shared.stalled_lps.load(Ordering::Relaxed);
     stats.panics_recovered += shared.panics_recovered.load(Ordering::Relaxed);
     stats.wall_time = start.elapsed();

@@ -163,6 +163,9 @@ pub struct LpOutcome {
     pub ftran_nanos: u64,
     /// Nanoseconds spent in BTRAN (pricing and dual-row solves).
     pub btran_nanos: u64,
+    /// Nanoseconds spent factorizing the basis (warm-start installations
+    /// and every refactorization).
+    pub factor_nanos: u64,
 }
 
 /// Tunables for the simplex method.
@@ -433,6 +436,17 @@ impl Engine {
         }
     }
 
+    /// Switches to the engine `kind` asks for without building a basis:
+    /// for a caller that refactorizes next.
+    fn select(&mut self, kind: SimplexEngine) {
+        match (&*self, kind) {
+            (Engine::Dense(_), SimplexEngine::Dense)
+            | (Engine::Sparse(_), SimplexEngine::Sparse) => {}
+            (_, SimplexEngine::Dense) => *self = Engine::Dense(DenseBasis::default()),
+            (_, SimplexEngine::Sparse) => *self = Engine::Sparse(Box::default()),
+        }
+    }
+
     fn set_diag_sign(&mut self, i: usize, sign: f64) {
         match self {
             Engine::Dense(d) => d.set_diag_sign(i, sign),
@@ -482,6 +496,7 @@ struct Work {
     warm: WarmStart,
     ftran_nanos: u64,
     btran_nanos: u64,
+    factor_nanos: u64,
 }
 
 /// A sparse-column LP instance with reusable solver workspace.
@@ -591,6 +606,7 @@ impl Simplex {
                 warm: WarmStart::Cold,
                 ftran_nanos: 0,
                 btran_nanos: 0,
+                factor_nanos: 0,
             };
         }
 
@@ -614,14 +630,17 @@ impl Simplex {
             self.w.eta_pivots,
             self.w.ftran_nanos,
             self.w.btran_nanos,
+            self.w.factor_nanos,
         );
-        init_work(p, &mut self.w, lb, ub, opts);
+        init_work(p, &mut self.w, lb, ub);
+        self.w.engine.reset(opts.engine, p.m);
         if carry == WarmStart::Abandoned {
             self.w.iterations += spent.0;
             self.w.refactors += spent.1;
             self.w.eta_pivots += spent.2;
             self.w.ftran_nanos += spent.3;
             self.w.btran_nanos += spent.4;
+            self.w.factor_nanos += spent.5;
         }
         self.w.warm = carry;
 
@@ -678,7 +697,7 @@ fn for_col(p: &Problem, w: &Work, j: usize, mut f: impl FnMut(usize, f64)) {
     }
 }
 
-fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64], opts: &SimplexOptions) {
+fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64]) {
     let m = p.m;
     w.lb.clear();
     w.ub.clear();
@@ -708,7 +727,6 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64], opts: &SimplexOp
     for i in 0..m {
         w.basic_row[p.n_struct + i] = i as i32;
     }
-    w.engine.reset(opts.engine, m);
     w.xb.clear();
     w.xb.resize(m, 0.0);
     w.y.clear();
@@ -727,6 +745,7 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64], opts: &SimplexOp
     w.warm = WarmStart::Cold;
     w.ftran_nanos = 0;
     w.btran_nanos = 0;
+    w.factor_nanos = 0;
 }
 
 /// Residual of the slack-basis start: `b - N x_N` for the current nonbasic
@@ -814,6 +833,7 @@ fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome>
             warm: w.warm,
             ftran_nanos: w.ftran_nanos,
             btran_nanos: w.btran_nanos,
+            factor_nanos: w.factor_nanos,
         });
     }
     let infeas: f64 = (0..p.m)
@@ -831,6 +851,7 @@ fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome>
             warm: w.warm,
             ftran_nanos: w.ftran_nanos,
             btran_nanos: w.btran_nanos,
+            factor_nanos: w.factor_nanos,
         });
     }
     // Freeze artificials at zero so phase 2 cannot reuse them; basic
@@ -1140,7 +1161,11 @@ fn try_warm(
     ub: &[f64],
     opts: &SimplexOptions,
 ) -> WarmTry {
-    init_work(p, w, lb, ub, opts);
+    init_work(p, w, lb, ub);
+    // The refactorization below replaces the basis representation, so no
+    // identity is built first; a singular snapshot is abandoned, and the
+    // cold start then resets the engine to the identity.
+    w.engine.select(opts.engine);
     // Install the snapshot: nonbasic rest sides, then the basis itself.
     w.at_upper.copy_from_slice(&snap.at_upper);
     w.basic_row.iter_mut().for_each(|x| *x = -1);
@@ -1353,10 +1378,12 @@ fn refactor(p: &Problem, w: &mut Work) -> bool {
             f(art_row[idx] as usize, art_sign[idx]);
         }
     };
+    let t0 = std::time::Instant::now();
     let ok = match engine {
         Engine::Dense(d) => d.refactor(m, col),
         Engine::Sparse(s) => s.refactor(m, col),
     };
+    w.factor_nanos += t0.elapsed().as_nanos() as u64;
     if ok {
         recompute_xb(p, w);
         w.pivots_since_refactor = 0;
@@ -1434,6 +1461,7 @@ fn extract(p: &Problem, w: &Work, status: LpStatus) -> LpOutcome {
         warm: w.warm,
         ftran_nanos: w.ftran_nanos,
         btran_nanos: w.btran_nanos,
+        factor_nanos: w.factor_nanos,
     }
 }
 

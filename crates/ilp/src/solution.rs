@@ -137,6 +137,9 @@ pub struct SolveStats {
     /// Time spent in BTRAN solves (pricing and dual rows) across all LP
     /// solves.
     pub btran_time: Duration,
+    /// Time spent factorizing bases (warm-start installations and every
+    /// refactorization) across all LP solves.
+    pub factor_time: Duration,
     /// LP relaxations abandoned by the degenerate-pivot stall watchdog
     /// ([`LpStatus::Stalled`](crate::LpStatus)).
     pub stalled_lps: u64,
@@ -193,6 +196,7 @@ impl SolveStats {
         self.warm_abandoned += other.warm_abandoned;
         self.ftran_time += other.ftran_time;
         self.btran_time += other.btran_time;
+        self.factor_time += other.factor_time;
         self.stalled_lps += other.stalled_lps;
         self.panics_recovered += other.panics_recovered;
         self.faults_injected += other.faults_injected;
@@ -212,7 +216,7 @@ impl SolveStats {
     /// Every counter as `(section, key, value)`, durations in whole
     /// microseconds: the one schema both writers below share. The
     /// destructuring is exhaustive, so a new counter cannot be left out.
-    fn fields(&self) -> [(&'static str, &'static str, u64); 26] {
+    fn fields(&self) -> [(&'static str, &'static str, u64); 27] {
         let SolveStats {
             variables,
             constraints,
@@ -226,6 +230,7 @@ impl SolveStats {
             warm_abandoned,
             ftran_time,
             btran_time,
+            factor_time,
             stalled_lps,
             panics_recovered,
             faults_injected,
@@ -256,6 +261,7 @@ impl SolveStats {
             ("lp", "warm_abandoned", warm_abandoned),
             ("time", "ftran_us", us(ftran_time)),
             ("time", "btran_us", us(btran_time)),
+            ("time", "factor_us", us(factor_time)),
             ("time", "wall_us", us(wall_time)),
             ("presolve", "presolve_runs", presolve_runs),
             (
@@ -382,6 +388,7 @@ mod tests {
             warm_abandoned: 1,
             ftran_time: Duration::from_millis(2),
             btran_time: Duration::from_millis(3),
+            factor_time: Duration::from_millis(6),
             stalled_lps: 1,
             panics_recovered: 0,
             faults_injected: 1,
@@ -410,6 +417,7 @@ mod tests {
             warm_abandoned: 0,
             ftran_time: Duration::from_millis(1),
             btran_time: Duration::from_millis(4),
+            factor_time: Duration::from_millis(2),
             stalled_lps: 0,
             panics_recovered: 4,
             faults_injected: 2,
@@ -439,6 +447,7 @@ mod tests {
             warm_abandoned,
             ftran_time,
             btran_time,
+            factor_time,
             stalled_lps,
             panics_recovered,
             faults_injected,
@@ -467,6 +476,7 @@ mod tests {
         assert_eq!(warm_abandoned, 1);
         assert_eq!(ftran_time, Duration::from_millis(3));
         assert_eq!(btran_time, Duration::from_millis(7));
+        assert_eq!(factor_time, Duration::from_millis(8));
         assert_eq!(stalled_lps, 1);
         assert_eq!(panics_recovered, 4);
         assert_eq!(faults_injected, 3);
@@ -492,6 +502,7 @@ mod tests {
             presolve_runs: 2,
             presolve_rows_eliminated: 4,
             faults_injected: 1,
+            factor_time: Duration::from_micros(42),
             ..Default::default()
         };
         let text = stats.render();
@@ -499,6 +510,7 @@ mod tests {
         assert!(text.contains("  search: bb_nodes 3, incumbents 0\n"));
         assert!(text.contains("lp_solves 5, "));
         assert!(text.contains("warm_starts 2, warm_abandoned 0\n"));
+        assert!(text.contains("  time: ftran_us 0, btran_us 0, factor_us 42, wall_us 0\n"));
         assert!(text.contains("  presolve: presolve_runs 2, presolve_rows_eliminated 4,"));
         assert!(text.contains("  faults: panics_recovered 0, faults_injected 1\n"));
         assert!(!text.contains("sat:"), "all-zero sections are omitted");
@@ -506,11 +518,12 @@ mod tests {
         assert!(json.starts_with("{\"variables\":0,") && json.ends_with('}'));
         assert!(json.contains("\"bb_nodes\":3"));
         assert!(json.contains("\"presolve_rows_eliminated\":4"));
+        assert!(json.contains("\"factor_us\":42"));
         assert!(
             json.contains("\"sat_learned\":0"),
             "zero counters stay in the JSON"
         );
-        assert_eq!(json.matches(':').count(), 26, "one key per counter");
+        assert_eq!(json.matches(':').count(), 27, "one key per counter");
     }
 
     #[test]
