@@ -8,11 +8,20 @@
 //! speedup stays above the pinned ratio: the cache must make at least one
 //! genuinely expensive kernel >= 100x faster to serve than to re-solve, or
 //! it is not earning its complexity.
+//!
+//! A hit costs about the same for every kernel (a few hundred
+//! microseconds, most of it the socket round trip), so the ratio says
+//! something about the cache only against a kernel whose cold solve is
+//! expensive: `lfk5-trad`, the golden corpus's heaviest cell (thousands of
+//! branch-and-bound nodes under the traditional formulation, about 0.4 s
+//! cold on a 2-vCPU host). The structured kernels stay in the table for
+//! reference; a faster solver shrinks their ratios without saying
+//! anything about the cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use optimod::Objective;
+use optimod::{DepStyle, Objective};
 use optimod_daemon::client;
 use optimod_daemon::server::{Daemon, DaemonConfig};
 use optimod_daemon::{ClientConfig, Request};
@@ -22,23 +31,27 @@ const HIT_SAMPLES: usize = 50;
 /// The best cold/hit p50 speedup below which the gate fails.
 const GATE: f64 = 100.0;
 
-/// Golden kernels with their wire objective. `fir4` runs the cumulative
-/// lifetime objective — the most expensive exact solve of the set, i.e.
-/// the workload the cache exists for.
-const KERNELS: [(&str, &str, Objective); 3] = [
+const LFK5: &str = "machine example-3fu\n\
+     op ld-y load\nop ld-z load\nop y-x fadd\nop z* fmul\nop st-x store\n\
+     flow ld-y y-x 0\nflow z* y-x 1\nflow ld-z z* 0\nflow y-x z* 0\nflow z* st-x 0\n";
+
+/// Golden kernels with their wire objective and formulation. `fir4` runs
+/// the cumulative lifetime objective; `lfk5-trad` is the expensive solve
+/// the cache exists for (see the module docs).
+const KERNELS: [(&str, &str, Objective, DepStyle); 4] = [
     (
         "figure1",
         "machine example-3fu\n\
          op ld-x load\nop mult fmul\nop add fadd\nop sub fadd\nop st-y store\n\
          flow ld-x mult 0\nflow ld-x add 0\nflow mult sub 0\nflow add sub 0\nflow sub st-y 0\n",
         Objective::MinMaxLive,
+        DepStyle::Structured,
     ),
     (
         "lfk5-tridiag",
-        "machine example-3fu\n\
-         op ld-y load\nop ld-z load\nop y-x fadd\nop z* fmul\nop st-x store\n\
-         flow ld-y y-x 0\nflow z* y-x 1\nflow ld-z z* 0\nflow y-x z* 0\nflow z* st-x 0\n",
+        LFK5,
         Objective::MinMaxLive,
+        DepStyle::Structured,
     ),
     (
         "fir4-minlife",
@@ -49,6 +62,13 @@ const KERNELS: [(&str, &str, Objective); 3] = [
          flow m0 a0 0\nflow m1 a0 0\nflow m2 a1 0\nflow m3 a1 0\n\
          flow a0 a2 0\nflow a1 a2 0\nflow a2 st-y 0\n",
         Objective::MinCumLifetime,
+        DepStyle::Structured,
+    ),
+    (
+        "lfk5-trad",
+        LFK5,
+        Objective::MinMaxLive,
+        DepStyle::Traditional,
     ),
 ];
 
@@ -76,9 +96,10 @@ struct KernelStats {
     ratio: f64,
 }
 
-fn request(text: &str, objective: Objective, use_cache: bool) -> Request {
+fn request(text: &str, objective: Objective, dep_style: DepStyle, use_cache: bool) -> Request {
     let mut r = Request::new(text);
     r.objective = objective;
+    r.dep_style = dep_style;
     r.use_cache = use_cache;
     r.deadline_ms = 120_000;
     r
@@ -94,12 +115,12 @@ fn main() {
     let client_cfg = ClientConfig::new(handle.socket_path());
 
     let mut stats: Vec<KernelStats> = Vec::new();
-    for (name, text, objective) in KERNELS {
+    for (name, text, objective, dep_style) in KERNELS {
         // Cold path: cache bypassed, every request is a full solve.
         let mut cold_us: Vec<u64> = Vec::with_capacity(COLD_SAMPLES);
         for _ in 0..COLD_SAMPLES {
             let t0 = Instant::now();
-            let reply = client::solve(&client_cfg, request(text, objective, false))
+            let reply = client::solve(&client_cfg, request(text, objective, dep_style, false))
                 .unwrap_or_else(|e| panic!("{name}: cold solve failed: {e}"));
             cold_us.push(t0.elapsed().as_micros() as u64);
             assert!(!reply.cache_hit, "{name}: cache bypass served a hit");
@@ -107,13 +128,13 @@ fn main() {
 
         // Populate, then measure the hit path end to end (connect, frame,
         // content-addressed load, re-certification, reply).
-        let populate = client::solve(&client_cfg, request(text, objective, true))
+        let populate = client::solve(&client_cfg, request(text, objective, dep_style, true))
             .unwrap_or_else(|e| panic!("{name}: populating solve failed: {e}"));
         assert!(!populate.cache_hit, "{name}: cache already warm");
         let mut hit_us: Vec<u64> = Vec::with_capacity(HIT_SAMPLES);
         for i in 0..HIT_SAMPLES {
             let t0 = Instant::now();
-            let reply = client::solve(&client_cfg, request(text, objective, true))
+            let reply = client::solve(&client_cfg, request(text, objective, dep_style, true))
                 .unwrap_or_else(|e| panic!("{name}: hit solve {i} failed: {e}"));
             hit_us.push(t0.elapsed().as_micros() as u64);
             assert!(reply.cache_hit, "{name}: warm request {i} missed the cache");
