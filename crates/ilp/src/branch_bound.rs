@@ -29,7 +29,7 @@ use optimod_trace::{LpClass, NodeOutcome, Phase, Trace, TraceEvent};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::model::{Model, Sense, VarId};
 use crate::parallel;
-use crate::simplex::{Basis, LpOutcome, LpStatus, Simplex, SimplexOptions, WarmStart};
+use crate::simplex::{Basis, LpOutcome, LpStatus, Simplex, SimplexOptions};
 use crate::solution::{panic_message, SolveError, SolveOutcome, SolveStats, SolveStatus};
 use crate::stop::StopFlag;
 use crate::tol::{INT_ROUND_TOL, INT_TOL, PRUNE_TOL};
@@ -530,18 +530,7 @@ impl Search<'_> {
                 }
             }
         };
-        self.stats.lp_solves += 1;
-        self.stats.simplex_iterations += lp.iterations;
-        self.stats.refactors += lp.refactors;
-        self.stats.eta_pivots += lp.eta_pivots;
-        self.stats.ftran_time += Duration::from_nanos(lp.ftran_nanos);
-        self.stats.btran_time += Duration::from_nanos(lp.btran_nanos);
-        self.stats.factor_time += Duration::from_nanos(lp.factor_nanos);
-        match lp.warm {
-            WarmStart::Taken => self.stats.warm_starts += 1,
-            WarmStart::Abandoned => self.stats.warm_abandoned += 1,
-            WarmStart::Cold => {}
-        }
+        self.stats.add_lp(&lp);
         trace.emit(|| TraceEvent::LpSolved {
             worker: 0,
             class: lp_class(lp.status),
@@ -571,7 +560,6 @@ impl Search<'_> {
             LpStatus::Stalled => {
                 // The watchdog abandoned a numerically unstable LP. Keep
                 // whatever incumbent exists and report the cause.
-                self.stats.stalled_lps += 1;
                 self.limit_hit = true;
                 self.error = Some(SolveError::NumericallyUnstable {
                     iterations: lp.iterations,

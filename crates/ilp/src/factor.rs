@@ -25,9 +25,21 @@
 //!
 //! The eta file is bounded: [`SparseBasis::eta_nnz`] lets the caller force a
 //! refactorization once the accumulated update entries outgrow the factor.
+//!
+//! The eta file is also a stack the basis can return down. Every factor
+//! [`SparseBasis`] builds (refactorization, identity reset, or a phase-1
+//! sign change on the identity) and every eta
+//! it pushes takes a stamp from one process-wide counter, so a
+//! [`FactorMark`] (factor stamp, eta count, top eta's stamp) names one exact
+//! factor state. [`SparseBasis::rollback`] truncates the eta file back to a
+//! mark when the stamps still match and refuses otherwise: after a
+//! refactorization or reset (new factor stamp), after the marked etas were
+//! truncated and re-pushed (new top stamp), or for a mark taken on another
+//! basis (stamps are never reused).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::tol::{ELIM_SKIP_TOL, LU_DROP_TOL, LU_PIVOT_REL, SINGULAR_TOL};
 
@@ -964,6 +976,8 @@ fn pivot_coords(
 #[derive(Debug, Clone)]
 struct Eta {
     r: u32,
+    /// Stamp from [`next_stamp`] identifying this push.
+    stamp: u64,
     /// `1 / v_r`.
     inv_piv: f64,
     /// `(i, v_i)` for `i ≠ r` with `|v_i|` above the skip tolerance.
@@ -984,9 +998,21 @@ impl EtaFile {
     }
 
     /// Number of eta updates currently stacked on the base factor.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by the unit tests
     pub(crate) fn len(&self) -> usize {
         self.etas.len()
+    }
+
+    /// Stamp of the `len`-th eta (the top of a file of that length), or 0
+    /// for an empty prefix.
+    fn stamp_below(&self, len: usize) -> u64 {
+        len.checked_sub(1).map_or(0, |k| self.etas[k].stamp)
+    }
+
+    /// Drops every eta above the first `len`.
+    fn truncate(&mut self, len: usize) {
+        for eta in self.etas.drain(len..) {
+            self.nnz -= eta.others.len();
+        }
     }
 
     /// Total stored off-pivot entries across all etas — the FTRAN/BTRAN
@@ -1007,6 +1033,7 @@ impl EtaFile {
         self.nnz += others.len();
         self.etas.push(Eta {
             r: r as u32,
+            stamp: next_stamp(),
             inv_piv: 1.0 / v[r],
             others,
         });
@@ -1039,12 +1066,32 @@ impl EtaFile {
     }
 }
 
+/// Source of factor and eta stamps, shared by every [`SparseBasis`] in the
+/// process so a stamp never repeats. It starts at 1: stamp 0 is the
+/// default basis's factor and the empty eta prefix.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One exact state of a [`SparseBasis`]: the base factor and the eta
+/// prefix stacked on it. Plain integers, so a mark costs nothing to keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FactorMark {
+    lu: u64,
+    etas: usize,
+    top: u64,
+}
+
 /// The complete sparse basis representation: base LU factor + eta file +
 /// scratch storage, exposing exactly the operations the simplex loops need.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseBasis {
     m: usize,
     lu: LuFactor,
+    /// Stamp of `lu`, renewed whenever the factor is rebuilt.
+    lu_stamp: u64,
     etas: EtaFile,
     /// Pivot-coordinate scratch for the triangular solves.
     work: Vec<f64>,
@@ -1061,6 +1108,7 @@ impl SparseBasis {
         SparseBasis {
             m,
             lu: LuFactor::diagonal(&ones),
+            lu_stamp: next_stamp(),
             etas: EtaFile::default(),
             work: vec![0.0; m],
             rhs: vec![0.0; m],
@@ -1074,6 +1122,7 @@ impl SparseBasis {
         let ones = vec![1.0; m];
         self.m = m;
         self.lu = LuFactor::diagonal(&ones);
+        self.lu_stamp = next_stamp();
         self.etas.clear();
         self.work.clear();
         self.work.resize(m, 0.0);
@@ -1085,11 +1134,35 @@ impl SparseBasis {
     /// factor with the sign of an installed artificial column.
     pub(crate) fn set_diag_sign(&mut self, i: usize, sign: f64) {
         self.lu.set_diag(i, sign);
+        self.lu_stamp = next_stamp();
     }
 
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by the unit tests
     pub(crate) fn eta_count(&self) -> usize {
         self.etas.len()
+    }
+
+    /// The current factor state, for a later [`SparseBasis::rollback`].
+    pub(crate) fn mark(&self) -> FactorMark {
+        let etas = self.etas.len();
+        FactorMark {
+            lu: self.lu_stamp,
+            etas,
+            top: self.etas.stamp_below(etas),
+        }
+    }
+
+    /// Returns to the state `mark` names by truncating the eta file, so the
+    /// basis represented is again the one marked. Refuses (changing
+    /// nothing) unless the marked factor is still the base and the marked
+    /// eta prefix is still in place.
+    pub(crate) fn rollback(&mut self, mark: FactorMark) -> bool {
+        let ok = mark.lu == self.lu_stamp
+            && mark.etas <= self.etas.len()
+            && self.etas.stamp_below(mark.etas) == mark.top;
+        if ok {
+            self.etas.truncate(mark.etas);
+        }
+        ok
     }
 
     pub(crate) fn eta_nnz(&self) -> usize {
@@ -1138,6 +1211,7 @@ impl SparseBasis {
             Ok(lu) => {
                 self.m = m;
                 self.lu = lu;
+                self.lu_stamp = next_stamp();
                 self.etas.clear();
                 self.work.resize(m, 0.0);
                 self.rhs.resize(m, 0.0);
@@ -1333,6 +1407,121 @@ mod tests {
         assert!(sb.refactor(m, dense_cols(&good)));
         assert_eq!(sb.eta_count(), 0);
         assert_eq!(sb.eta_nnz(), 0);
+    }
+
+    /// Every FTRAN of a unit vector and BTRAN of a unit vector, as bits.
+    fn solve_bits(sb: &mut SparseBasis) -> Vec<u64> {
+        let m = sb.m;
+        let mut out = vec![0.0; m];
+        let mut bits = Vec::new();
+        for i in 0..m {
+            sb.ftran_col(&[(i as u32, 1.0)], &mut out);
+            bits.extend(out.iter().map(|x| x.to_bits()));
+            let mut c = vec![0.0; m];
+            c[i] = 1.0;
+            sb.btran(&mut c, &mut out);
+            bits.extend(out.iter().map(|x| x.to_bits()));
+        }
+        bits
+    }
+
+    /// Pivots `col` into the basis position where its transformed image is
+    /// largest, as one eta.
+    fn pivot_in(sb: &mut SparseBasis, col: &[(u32, f64)]) {
+        let mut v = vec![0.0; sb.m];
+        sb.ftran_col(col, &mut v);
+        let r = (0..v.len())
+            .max_by(|&a, &b| v[a].abs().total_cmp(&v[b].abs()))
+            .expect("nonempty basis");
+        sb.push_eta(r, &v);
+    }
+
+    /// A factored 5×5 circulant with one eta on top: the "parent" state.
+    fn parent_basis() -> SparseBasis {
+        let cols: Vec<Vec<f64>> = (0..5)
+            .map(|q| {
+                (0..5)
+                    .map(|i| f64::from(u8::from(i == q || i == (q + 1) % 5)))
+                    .collect()
+            })
+            .collect();
+        let mut sb = SparseBasis::identity(5);
+        assert!(sb.refactor(5, dense_cols(&cols)));
+        pivot_in(&mut sb, &[(0, 2.0), (2, -1.0), (4, 1.0)]);
+        sb
+    }
+
+    const CHILD_COLS: [&[(u32, f64)]; 3] = [
+        &[(1, 1.0), (3, 3.0)],
+        &[(0, -2.0), (1, 1.0), (4, 1.0)],
+        &[(2, 1.5), (3, 1.0)],
+    ];
+
+    #[test]
+    fn rollback_restores_marked_solves_bit_for_bit() {
+        for k in 1..=CHILD_COLS.len() {
+            let mut sb = parent_basis();
+            let mark = sb.mark();
+            let (count, nnz) = (sb.eta_count(), sb.eta_nnz());
+            let before = solve_bits(&mut sb);
+            for col in &CHILD_COLS[..k] {
+                pivot_in(&mut sb, col);
+            }
+            assert_eq!(sb.eta_count(), count + k);
+            assert_ne!(
+                solve_bits(&mut sb),
+                before,
+                "the pushed etas change the basis"
+            );
+            assert!(sb.rollback(mark), "a fresh mark must roll back");
+            assert_eq!((sb.eta_count(), sb.eta_nnz()), (count, nnz));
+            assert_eq!(solve_bits(&mut sb), before, "rollback after {k} etas");
+            // Rolling back to where the basis already is changes nothing.
+            assert!(sb.rollback(mark));
+            assert_eq!(solve_bits(&mut sb), before);
+        }
+    }
+
+    #[test]
+    fn rollback_refuses_stale_and_foreign_marks() {
+        let good: Vec<Vec<f64>> = (0..5)
+            .map(|q| (0..5).map(|i| f64::from(u8::from(i == q))).collect())
+            .collect();
+
+        // A refactorization builds a new base factor.
+        let mut sb = parent_basis();
+        let mark = sb.mark();
+        assert!(sb.refactor(5, dense_cols(&good)));
+        assert!(!sb.rollback(mark), "mark survived a refactorization");
+
+        // So does an identity reset, even to the same dimension.
+        let mut sb = parent_basis();
+        let mark = sb.mark();
+        sb.reset_identity(5);
+        assert!(!sb.rollback(mark), "mark survived an identity reset");
+
+        // Truncate below the mark and push again to the same length: the
+        // eta count matches but the top eta is a different one.
+        let mut sb = parent_basis();
+        let below = sb.mark();
+        pivot_in(&mut sb, CHILD_COLS[0]);
+        let mark = sb.mark();
+        assert!(sb.rollback(below));
+        pivot_in(&mut sb, CHILD_COLS[0]);
+        assert_eq!(sb.eta_count(), below.etas + 1);
+        let state = solve_bits(&mut sb);
+        assert!(!sb.rollback(mark), "mark survived a truncate and re-push");
+        assert_eq!(
+            solve_bits(&mut sb),
+            state,
+            "a refused rollback changes nothing"
+        );
+
+        // A mark is refused by another basis, even one built the same way.
+        let a = parent_basis();
+        let mut b = parent_basis();
+        pivot_in(&mut b, CHILD_COLS[1]);
+        assert!(!b.rollback(a.mark()), "foreign mark accepted");
     }
 
     /// Seeded random bases of the shapes the pivot search must get right,

@@ -44,7 +44,7 @@ use crate::branch_bound::{
 };
 use crate::fault::{FaultAction, FaultSite};
 use crate::model::{Model, Sense, VarId};
-use crate::simplex::{Basis, LpStatus, Simplex, SimplexOptions, WarmStart};
+use crate::simplex::{Basis, LpStatus, Simplex, SimplexOptions};
 use crate::solution::{panic_message, SolveError, SolveOutcome, SolveStats, SolveStatus};
 use crate::stop::StopFlag;
 use crate::tol::PRUNE_TOL;
@@ -59,8 +59,10 @@ struct PathStep {
     parent: Option<Arc<PathStep>>,
     /// The parent node's optimal basis, for a warm-started re-solve.
     /// Shared (`Arc`) between siblings and cheap to hand across
-    /// work-stealing workers — the snapshot holds no factorization state,
-    /// so the stealing worker refactorizes into its own private workspace.
+    /// work-stealing workers — the snapshot holds no factorization state.
+    /// The worker that branched can roll back to its own factor; any other
+    /// worker's `Simplex` refuses the mark and refactorizes into its own
+    /// private workspace.
     warm: Option<Arc<Basis>>,
 }
 
@@ -84,19 +86,11 @@ struct Shared<'a> {
     /// for pruning, written only under the `incumbent` lock.
     incumbent_bits: AtomicU64,
     incumbent: Mutex<Option<(f64, Vec<f64>)>>,
+    /// Nodes opened by all workers: the node budget and the reported count.
     bb_nodes: AtomicU64,
-    lp_solves: AtomicU64,
+    /// Running iteration total for the iteration budget. The reported
+    /// counters are each worker's own [`SolveStats`], merged at the end.
     simplex_iterations: AtomicU64,
-    incumbents: AtomicU64,
-    refactors: AtomicU64,
-    eta_pivots: AtomicU64,
-    warm_starts: AtomicU64,
-    warm_abandoned: AtomicU64,
-    ftran_nanos: AtomicU64,
-    btran_nanos: AtomicU64,
-    factor_nanos: AtomicU64,
-    stalled_lps: AtomicU64,
-    panics_recovered: AtomicU64,
     limit_hit: AtomicBool,
     /// Set when `first_solution_only` found its solution, so the resulting
     /// cooperative LP interruptions are not misread as a budget limit.
@@ -180,7 +174,7 @@ fn pop_work(shared: &Shared, wid: usize) -> Option<Arc<PathStep>> {
     None
 }
 
-fn worker(shared: &Shared, opts: &SimplexOptions, wid: usize) {
+fn worker(shared: &Shared, opts: &SimplexOptions, wid: usize, stats: &mut SolveStats) {
     // Deterministic fault injection at worker startup. A stall or spurious
     // timeout wedges this worker before it processes anything; the limit
     // broadcast stops the search cleanly instead of letting a drained pool
@@ -229,14 +223,23 @@ fn worker(shared: &Shared, opts: &SimplexOptions, wid: usize) {
         // a typed error, drop the node, and let the solve wind down with
         // whatever incumbent exists.
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            expand_node(shared, &mut simplex, opts, &node, &mut lb, &mut ub, wid);
+            expand_node(
+                shared,
+                &mut simplex,
+                opts,
+                &node,
+                &mut lb,
+                &mut ub,
+                wid,
+                stats,
+            );
         }));
         shared.pending.fetch_sub(1, Ordering::AcqRel);
         if let Err(payload) = unwound {
             // The node's NodeOpen was already emitted (it directly follows
             // the budget check, which cannot panic), so close it here to
             // keep every worker's open/close stream balanced.
-            shared.panics_recovered.fetch_add(1, Ordering::Relaxed);
+            stats.panics_recovered += 1;
             shared.limits.trace.emit(|| TraceEvent::NodeClose {
                 worker: wid as u32,
                 outcome: NodeOutcome::Panicked,
@@ -253,7 +256,9 @@ fn worker(shared: &Shared, opts: &SimplexOptions, wid: usize) {
 }
 
 /// Expands one open node: materialize bounds, solve the relaxation, prune /
-/// record / enqueue children.
+/// record / enqueue children. The node's counters go to the worker's own
+/// `stats`.
+#[allow(clippy::too_many_arguments)] // the worker's whole per-node context
 fn expand_node(
     shared: &Shared,
     simplex: &mut Simplex,
@@ -262,6 +267,7 @@ fn expand_node(
     lb: &mut [f64],
     ub: &mut [f64],
     wid: usize,
+    stats: &mut SolveStats,
 ) {
     if shared.out_of_budget() {
         return;
@@ -332,32 +338,10 @@ fn expand_node(
     }
 
     let lp = simplex.solve_warm(lb, ub, opts, node.warm.as_deref());
-    shared.lp_solves.fetch_add(1, Ordering::Relaxed);
     shared
         .simplex_iterations
         .fetch_add(lp.iterations, Ordering::Relaxed);
-    shared.refactors.fetch_add(lp.refactors, Ordering::Relaxed);
-    shared
-        .eta_pivots
-        .fetch_add(lp.eta_pivots, Ordering::Relaxed);
-    shared
-        .ftran_nanos
-        .fetch_add(lp.ftran_nanos, Ordering::Relaxed);
-    shared
-        .btran_nanos
-        .fetch_add(lp.btran_nanos, Ordering::Relaxed);
-    shared
-        .factor_nanos
-        .fetch_add(lp.factor_nanos, Ordering::Relaxed);
-    match lp.warm {
-        WarmStart::Taken => {
-            shared.warm_starts.fetch_add(1, Ordering::Relaxed);
-        }
-        WarmStart::Abandoned => {
-            shared.warm_abandoned.fetch_add(1, Ordering::Relaxed);
-        }
-        WarmStart::Cold => {}
-    }
+    stats.add_lp(&lp);
     trace.emit(|| TraceEvent::LpSolved {
         worker: wid as u32,
         class: lp_class(lp.status),
@@ -387,7 +371,6 @@ fn expand_node(
             return;
         }
         LpStatus::Stalled => {
-            shared.stalled_lps.fetch_add(1, Ordering::Relaxed);
             shared.record_error(SolveError::NumericallyUnstable {
                 iterations: lp.iterations,
             });
@@ -420,7 +403,7 @@ fn expand_node(
         }
         let obj_model = if shared.minimize { obj } else { -obj };
         if shared.offer_incumbent(obj, lp.values) {
-            shared.incumbents.fetch_add(1, Ordering::Relaxed);
+            stats.incumbents += 1;
             trace.emit(|| TraceEvent::Incumbent {
                 worker: wid as u32,
                 objective: obj_model,
@@ -550,13 +533,7 @@ pub(crate) fn solve(
         let _root_span = trace.span(Phase::RootLp);
         root_simplex.solve(&root_lb, &root_ub, &opts)
     };
-    stats.lp_solves += 1;
-    stats.simplex_iterations += lp.iterations;
-    stats.refactors += lp.refactors;
-    stats.eta_pivots += lp.eta_pivots;
-    stats.ftran_time += std::time::Duration::from_nanos(lp.ftran_nanos);
-    stats.btran_time += std::time::Duration::from_nanos(lp.btran_nanos);
-    stats.factor_time += std::time::Duration::from_nanos(lp.factor_nanos);
+    stats.add_lp(&lp);
     trace.emit(|| TraceEvent::LpSolved {
         worker: 0,
         class: lp_class(lp.status),
@@ -573,7 +550,6 @@ pub(crate) fn solve(
             return finish(SolveStatus::LimitReached, stats, f64::NEG_INFINITY, None)
         }
         LpStatus::Stalled => {
-            stats.stalled_lps += 1;
             return finish(
                 SolveStatus::LimitReached,
                 stats,
@@ -643,18 +619,7 @@ pub(crate) fn solve(
         incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         incumbent: Mutex::new(None),
         bb_nodes: AtomicU64::new(0),
-        lp_solves: AtomicU64::new(0),
         simplex_iterations: AtomicU64::new(0),
-        incumbents: AtomicU64::new(0),
-        refactors: AtomicU64::new(0),
-        eta_pivots: AtomicU64::new(0),
-        warm_starts: AtomicU64::new(0),
-        warm_abandoned: AtomicU64::new(0),
-        ftran_nanos: AtomicU64::new(0),
-        btran_nanos: AtomicU64::new(0),
-        factor_nanos: AtomicU64::new(0),
-        stalled_lps: AtomicU64::new(0),
-        panics_recovered: AtomicU64::new(0),
         limit_hit: AtomicBool::new(false),
         found_first: AtomicBool::new(false),
         error: Mutex::new(None),
@@ -693,45 +658,48 @@ pub(crate) fn solve(
         q.push_back(first);
     }
 
-    std::thread::scope(|scope| {
-        for wid in 0..threads {
-            let shared = &shared;
-            let opts = opts.clone();
-            scope.spawn(move || {
-                // A panic that escapes the worker loop itself (e.g. an
-                // injected worker-startup fault, or a bug outside the
-                // per-node recovery) must not propagate through the scope
-                // and abort the solve: record it and wind the search down.
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker(shared, &opts, wid)
-                }));
-                if let Err(payload) = unwound {
-                    shared.panics_recovered.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .limits
-                        .trace
-                        .emit(|| TraceEvent::PanicRecovered { worker: wid as u32 });
-                    shared.record_error(SolveError::WorkerPanic(panic_message(payload.as_ref())));
-                    shared.hit_limit();
-                }
-            });
-        }
+    let worker_stats: Vec<SolveStats> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|wid| {
+                let shared = &shared;
+                let opts = opts.clone();
+                scope.spawn(move || {
+                    let mut local = SolveStats::default();
+                    // A panic that escapes the worker loop itself (e.g. an
+                    // injected worker-startup fault, or a bug outside the
+                    // per-node recovery) must not propagate through the
+                    // scope and abort the solve: record it and wind the
+                    // search down.
+                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        worker(shared, &opts, wid, &mut local)
+                    }));
+                    if let Err(payload) = unwound {
+                        local.panics_recovered += 1;
+                        shared
+                            .limits
+                            .trace
+                            .emit(|| TraceEvent::PanicRecovered { worker: wid as u32 });
+                        shared
+                            .record_error(SolveError::WorkerPanic(panic_message(payload.as_ref())));
+                        shared.hit_limit();
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("worker panics are caught inside the worker")
+            })
+            .collect()
     });
 
+    for local in &worker_stats {
+        stats.absorb(local);
+    }
     stats.bb_nodes = shared.bb_nodes.load(Ordering::Relaxed);
-    stats.lp_solves += shared.lp_solves.load(Ordering::Relaxed);
-    stats.simplex_iterations += shared.simplex_iterations.load(Ordering::Relaxed);
-    stats.incumbents += shared.incumbents.load(Ordering::Relaxed);
-    stats.refactors += shared.refactors.load(Ordering::Relaxed);
-    stats.eta_pivots += shared.eta_pivots.load(Ordering::Relaxed);
-    stats.warm_starts += shared.warm_starts.load(Ordering::Relaxed);
-    stats.warm_abandoned += shared.warm_abandoned.load(Ordering::Relaxed);
-    stats.ftran_time += std::time::Duration::from_nanos(shared.ftran_nanos.load(Ordering::Relaxed));
-    stats.btran_time += std::time::Duration::from_nanos(shared.btran_nanos.load(Ordering::Relaxed));
-    stats.factor_time +=
-        std::time::Duration::from_nanos(shared.factor_nanos.load(Ordering::Relaxed));
-    stats.stalled_lps += shared.stalled_lps.load(Ordering::Relaxed);
-    stats.panics_recovered += shared.panics_recovered.load(Ordering::Relaxed);
     stats.wall_time = start.elapsed();
     // A caller-side cancellation must read as a limit, never as an
     // infeasibility proof: workers drain without touching `limit_hit` when

@@ -30,8 +30,13 @@
 //! and [`Simplex::solve_warm`] restores it in a child (after a single bound
 //! change) and runs a bounded **dual simplex** until primal feasibility is
 //! restored — typically a handful of pivots instead of a full two-phase
-//! solve. A warm start that goes wrong (singular refactorization, pivot cap)
-//! is abandoned for the ordinary cold start, never failed.
+//! solve. Under the sparse engine the snapshot also records a factor mark,
+//! and a child solved by the same `Simplex` returns to the parent's factor
+//! by truncating the eta file back to that mark instead of refactorizing;
+//! a stale or foreign mark falls back to refactorizing the snapshot basis.
+//! The dual loop computes the duals once and then updates them from each
+//! pivot row. A warm start that goes wrong (singular refactorization, pivot
+//! cap) is abandoned for the ordinary cold start, never failed.
 //!
 //! Numerical robustness: Dantzig pricing with a Bland's-rule fallback after
 //! a run of degenerate pivots, periodic refactorization on a tunable
@@ -40,11 +45,12 @@
 //! tests can tighten them without recompiling.
 //!
 //! Branch-and-bound solves thousands of closely related LPs, so the solver
-//! keeps all working storage (basis factors, pricing buffers, bound arrays)
-//! inside the [`Simplex`] value and reuses it across [`Simplex::solve`]
-//! calls — no per-node allocation of the constraint matrix.
+//! keeps all working storage (basis factors, pricing and right-hand-side
+//! buffers, bound arrays) inside the [`Simplex`] value and reuses it across
+//! [`Simplex::solve`] calls — no per-node allocation of the constraint
+//! matrix or of its dense work vectors.
 
-use crate::factor::SparseBasis;
+use crate::factor::{FactorMark, SparseBasis};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::model::{Model, RowSense, Sense};
 use crate::stop::StopFlag;
@@ -118,15 +124,21 @@ impl SimplexEngine {
 
 /// A snapshot of an optimal basis, handed from a branch-and-bound parent to
 /// its children for warm-started re-solves. Cheap to clone (two flat
-/// arrays) and intentionally free of any factorization state: the child
-/// refactorizes on installation, so snapshots can cross work-stealing
-/// worker threads untouched.
+/// arrays and a mark) and free of any factorization state, so snapshots
+/// can cross work-stealing worker threads untouched. The mark only names
+/// the sparse factor the basis had when it was taken: a child solved by the
+/// same [`Simplex`] rolls its eta file back to it, and any other child
+/// (another worker, the dense engine, a factor rebuilt since) refactorizes
+/// the basis on installation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// `basis[k]` = column (structural or slack) basic in row `k`.
     basis: Vec<u32>,
     /// Rest side of every nonbasic column (indexed by column).
     at_upper: Vec<bool>,
+    /// Sparse factor state at the snapshot; `None` unless the solve ended
+    /// `Optimal` under the sparse engine.
+    mark: Option<FactorMark>,
 }
 
 impl Basis {
@@ -151,7 +163,8 @@ pub struct LpOutcome {
     /// by this solve.
     pub iterations: u64,
     /// Basis (re)factorizations performed by this solve (scheduled rebuilds,
-    /// watchdog-forced ones, and warm-start installations).
+    /// watchdog-forced ones, and warm-start installations that could not
+    /// roll back to the parent's factor).
     pub refactors: u64,
     /// Product-form eta updates absorbed by the sparse engine (0 under the
     /// dense engine).
@@ -163,8 +176,8 @@ pub struct LpOutcome {
     pub ftran_nanos: u64,
     /// Nanoseconds spent in BTRAN (pricing and dual-row solves).
     pub btran_nanos: u64,
-    /// Nanoseconds spent factorizing the basis (warm-start installations
-    /// and every refactorization).
+    /// Nanoseconds spent factorizing the basis (every refactorization,
+    /// warm-start installations included).
     pub factor_nanos: u64,
 }
 
@@ -486,6 +499,8 @@ struct Work {
     cb: Vec<f64>,
     /// Gather buffer for the sparse entries of one column.
     colbuf: Vec<(u32, f64)>,
+    /// Dense row-space scratch: `b - N x_N` and row residuals.
+    rhs: Vec<f64>,
     /// Phase cost vector (resized as artificials appear).
     cost: Vec<f64>,
     iterations: u64,
@@ -497,6 +512,9 @@ struct Work {
     ftran_nanos: u64,
     btran_nanos: u64,
     factor_nanos: u64,
+    /// Whether the last solve ended `Optimal`: only then may a snapshot
+    /// carry a factor mark.
+    optimal: bool,
 }
 
 /// A sparse-column LP instance with reusable solver workspace.
@@ -577,15 +595,30 @@ impl Simplex {
     /// a caller bug.
     ///
     /// When `warm` carries a parent [`Basis`] (and `opts.warm_start` is on),
-    /// the snapshot basis is installed and refactorized, and a bounded dual
-    /// simplex re-establishes primal feasibility before the ordinary primal
-    /// clean-up pass; if anything goes wrong the restart is abandoned for a
-    /// cold start ([`WarmStart::Abandoned`]), never failed.
+    /// the snapshot basis is installed — by rolling the eta file back to the
+    /// snapshot's factor mark when it is still valid here, else by
+    /// refactorizing — and a bounded dual simplex re-establishes primal
+    /// feasibility before the ordinary primal clean-up pass; if anything
+    /// goes wrong the restart is abandoned for a cold start
+    /// ([`WarmStart::Abandoned`]), never failed.
     ///
     /// # Panics
     ///
     /// Panics if the bound slices have the wrong length.
     pub fn solve_warm(
+        &mut self,
+        lb: &[f64],
+        ub: &[f64],
+        opts: &SimplexOptions,
+        warm: Option<&Basis>,
+    ) -> LpOutcome {
+        let out = self.run(lb, ub, opts, warm);
+        self.w.optimal = out.status == LpStatus::Optimal;
+        out
+    }
+
+    /// The body of [`Simplex::solve_warm`], which records how it ended.
+    fn run(
         &mut self,
         lb: &[f64],
         ub: &[f64],
@@ -653,15 +686,22 @@ impl Simplex {
 
     /// Captures the current basis for reuse by a child node, or `None` when
     /// the basis is not reusable (no solve happened yet, or an artificial
-    /// column is still basic after a degenerate phase 1).
+    /// column is still basic after a degenerate phase 1). After an
+    /// `Optimal` sparse solve the snapshot also marks the current factor,
+    /// so a child solved here can return to it without refactorizing.
     pub fn basis_snapshot(&self) -> Option<Basis> {
         let (p, w) = (&self.p, &self.w);
         if w.basis.len() != p.m || w.basis.iter().any(|&bv| bv as usize >= p.n) {
             return None;
         }
+        let mark = match &w.engine {
+            Engine::Sparse(s) if w.optimal => Some(s.mark()),
+            _ => None,
+        };
         Some(Basis {
             basis: w.basis.clone(),
             at_upper: w.at_upper[..p.n].to_vec(),
+            mark,
         })
     }
 }
@@ -748,10 +788,12 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64]) {
     w.factor_nanos = 0;
 }
 
-/// Residual of the slack-basis start: `b - N x_N` for the current nonbasic
-/// rest positions, per row.
-fn start_residual(p: &Problem, w: &Work) -> Vec<f64> {
-    let mut r = p.b.clone();
+/// Fills `w.rhs` with the residual of the slack-basis start: `b - N x_N`
+/// for the current nonbasic rest positions, per row.
+fn start_residual(p: &Problem, w: &mut Work) {
+    let mut r = std::mem::take(&mut w.rhs);
+    r.clear();
+    r.extend_from_slice(&p.b);
     for j in 0..p.n_struct {
         let x = nb_value(w, j);
         if x != 0.0 {
@@ -760,7 +802,7 @@ fn start_residual(p: &Problem, w: &Work) -> Vec<f64> {
             }
         }
     }
-    r
+    w.rhs = r;
 }
 
 /// Installs the initial basis; adds artificial columns where the slack
@@ -768,11 +810,10 @@ fn start_residual(p: &Problem, w: &Work) -> Vec<f64> {
 /// outcome early only on infeasibility or an iteration-limit hit.
 #[allow(clippy::needless_range_loop)] // rows index several parallel arrays
 fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome> {
-    let residual = start_residual(p, w);
-    let mut artificial_cols = Vec::new();
+    start_residual(p, w);
     for i in 0..p.m {
         let s = p.n_struct + i;
-        let r = residual[i];
+        let r = w.rhs[i];
         if r >= w.lb[s] - FEAS_TOL && r <= w.ub[s] + FEAS_TOL {
             w.xb[i] = r.clamp(w.lb[s].max(f64::NEG_INFINITY), w.ub[s]);
         } else {
@@ -794,18 +835,16 @@ fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome>
             w.basic_row.push(i as i32);
             w.basis[i] = aj as u32;
             w.xb[i] = rem.abs();
-            artificial_cols.push(aj);
         }
     }
+    // Artificial columns are numbered consecutively from `p.n`.
+    let artificial_cols = p.n..p.n + w.art_row.len();
     if artificial_cols.is_empty() {
         return None;
     }
-    let total = p.n + w.art_row.len();
     w.cost.clear();
-    w.cost.resize(total, 0.0);
-    for &aj in &artificial_cols {
-        w.cost[aj] = 1.0;
-    }
+    w.cost.resize(p.n, 0.0);
+    w.cost.resize(artificial_cols.end, 1.0);
     let cost = std::mem::take(&mut w.cost);
     let status = optimize(p, w, &cost, opts);
     w.cost = cost;
@@ -857,7 +896,7 @@ fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome>
     // Freeze artificials at zero so phase 2 cannot reuse them; basic
     // artificials at ~0 sit in degenerate or redundant rows and get pivoted
     // out where a usable pivot exists.
-    for &aj in &artificial_cols {
+    for aj in artificial_cols {
         w.lb[aj] = 0.0;
         w.ub[aj] = 0.0;
     }
@@ -1162,9 +1201,9 @@ fn try_warm(
     opts: &SimplexOptions,
 ) -> WarmTry {
     init_work(p, w, lb, ub);
-    // The refactorization below replaces the basis representation, so no
-    // identity is built first; a singular snapshot is abandoned, and the
-    // cold start then resets the engine to the identity.
+    // Rollback or refactorization below replaces the basis representation,
+    // so no identity is built first; a singular snapshot is abandoned, and
+    // the cold start then resets the engine to the identity.
     w.engine.select(opts.engine);
     // Install the snapshot: nonbasic rest sides, then the basis itself.
     w.at_upper.copy_from_slice(&snap.at_upper);
@@ -1173,9 +1212,20 @@ fn try_warm(
     for (k, &bv) in w.basis.iter().enumerate() {
         w.basic_row[bv as usize] = k as i32;
     }
-    // Factorize the installed basis; a singular snapshot (possible after
-    // aggressive bound fixing) abandons the restart.
-    if !refactor(p, w) {
+    // Return to the parent's own factor when this engine still holds it:
+    // the factor at the mark represents exactly the snapshot basis, so only
+    // `x_B` has to follow the child's bounds, and the etas it keeps still
+    // count toward the refactorization cadence.
+    let rolled_back = match (&mut w.engine, snap.mark) {
+        (Engine::Sparse(s), Some(mark)) => s.rollback(mark).then(|| s.eta_count()),
+        _ => None,
+    };
+    if let Some(etas) = rolled_back {
+        w.pivots_since_refactor = etas as u64;
+        recompute_xb(p, w);
+    } else if !refactor(p, w) {
+        // A singular snapshot (possible after aggressive bound fixing)
+        // abandons the restart.
         return WarmTry::Abandon;
     }
     w.warm = WarmStart::Taken;
@@ -1201,10 +1251,16 @@ fn try_warm(
 /// entering column by the dual ratio test `min |d_j / alpha_j|` over
 /// sign-eligible columns; no eligible column proves infeasibility (the row
 /// is a Farkas certificate over the box).
+///
+/// The duals `y = c_B' B^{-1}` are BTRANed on entry and after any
+/// refactorization, and in between updated from the pivot row:
+/// `y += (d_j / alpha_rj) * rho_r` (Koberstein 2005). The primal clean-up
+/// that follows recomputes them before it trusts optimality.
 #[allow(clippy::needless_range_loop)] // rows/columns index parallel arrays
 fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) -> DualResult {
     let m = p.m;
     let mut pivots: u64 = 0;
+    let mut y_current = false;
     loop {
         // Leaving row: the basic variable with the largest bound violation.
         let mut leave: Option<(usize, f64, bool)> = None; // (row, viol, above)
@@ -1253,14 +1309,18 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
         }
         if refactor_due(w, opts, m) {
             refactor(p, w);
+            y_current = false;
         }
         btran_unit(w, r);
-        btran_cb(w, cost);
+        if !y_current {
+            btran_cb(w, cost);
+            y_current = true;
+        }
         // Entering column: dual ratio test over sign-eligible nonbasics.
         // `alpha = rho . A_j` is the pivot row entry; moving x_j by `s`
         // moves x_Br by `-s * alpha`, so eligibility is a sign condition on
         // alpha against the column's rest side and the violation side.
-        let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
+        let mut best: Option<(usize, f64, f64, f64)> = None; // (col, ratio, alpha, d)
         for j in 0..p.n {
             if w.basic_row[j] >= 0 || w.lb[j] == w.ub[j] {
                 continue;
@@ -1297,16 +1357,16 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
             let ratio = d.abs() / alpha.abs();
             let better = match best {
                 None => true,
-                Some((_, bratio, balpha)) => {
+                Some((_, bratio, balpha, _)) => {
                     ratio < bratio - RATIO_TIE_TOL
-                        || (ratio < bratio + RATIO_TIE_TOL && alpha.abs() > balpha)
+                        || (ratio < bratio + RATIO_TIE_TOL && alpha.abs() > balpha.abs())
                 }
             };
             if better {
-                best = Some((j, ratio, alpha.abs()));
+                best = Some((j, ratio, alpha, d));
             }
         }
-        let Some((j, _, _)) = best else {
+        let Some((j, _, alpha, d)) = best else {
             return DualResult::Infeasible;
         };
         compute_column(p, w, j);
@@ -1331,6 +1391,10 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
         let v = std::mem::take(&mut w.v);
         apply_pivot(p, w, r, j, &v, enter_val);
         w.v = v;
+        let theta = d / alpha;
+        for (yi, &ri) in w.y.iter_mut().zip(&w.rho) {
+            *yi += theta * ri;
+        }
     }
 }
 
@@ -1395,7 +1459,9 @@ fn refactor(p: &Problem, w: &mut Work) -> bool {
 /// Recomputes basic values `x_B = B^{-1} (b - N x_N)`.
 fn recompute_xb(p: &Problem, w: &mut Work) {
     let total = p.n + w.art_row.len();
-    let mut rhs = p.b.clone();
+    let mut rhs = std::mem::take(&mut w.rhs);
+    rhs.clear();
+    rhs.extend_from_slice(&p.b);
     for j in 0..total {
         if w.basic_row[j] >= 0 {
             continue;
@@ -1411,12 +1477,15 @@ fn recompute_xb(p: &Problem, w: &mut Work) {
         Engine::Sparse(s) => s.ftran_rhs(&rhs, &mut w.xb),
     }
     w.ftran_nanos += t0.elapsed().as_nanos() as u64;
+    w.rhs = rhs;
 }
 
 /// Verifies `A x = b` within tolerance for the current point.
 fn residual_ok(p: &Problem, w: &mut Work) -> bool {
     let total = p.n + w.art_row.len();
-    let mut r = p.b.clone();
+    let mut r = std::mem::take(&mut w.rhs);
+    r.clear();
+    r.extend_from_slice(&p.b);
     for j in 0..total {
         let x = if w.basic_row[j] >= 0 {
             w.xb[w.basic_row[j] as usize]
@@ -1427,7 +1496,9 @@ fn residual_ok(p: &Problem, w: &mut Work) -> bool {
             for_col(p, w, j, |i, a| r[i] -= a * x);
         }
     }
-    r.iter().all(|x| x.abs() <= RESIDUAL_TOL)
+    let ok = r.iter().all(|x| x.abs() <= RESIDUAL_TOL);
+    w.rhs = r;
+    ok
 }
 
 fn extract(p: &Problem, w: &Work, status: LpStatus) -> LpOutcome {
@@ -1737,6 +1808,85 @@ mod tests {
                 cold.iterations
             );
         }
+    }
+
+    /// The `warm_restart_matches_cold_solve` model: a parent snapshot
+    /// whose child `z <= 3` needs dual pivots.
+    fn three_var_model() -> Model {
+        let mut m = Model::new();
+        let x = m.num_var(0.0, 10.0, "x");
+        let y = m.num_var(0.0, 10.0, "y");
+        let z = m.num_var(0.0, 10.0, "z");
+        m.set_objective(Sense::Maximize, [(x, 3.0), (y, 2.0), (z, 4.0)]);
+        m.add_le([(x, 1.0), (y, 1.0), (z, 1.0)], 7.5, "cap");
+        m.add_le([(x, 2.0), (z, 1.0)], 9.0, "mix");
+        m
+    }
+
+    #[test]
+    fn warm_install_rolls_back_only_to_its_own_factor() {
+        let m = three_var_model();
+        let child_ub = [10.0, 10.0, 3.0];
+        let sparse = opts_for(SimplexEngine::Sparse);
+        let cold = Simplex::new(&m).solve(&[0.0; 3], &child_ub, &sparse);
+        let mut sx = Simplex::new(&m);
+        assert_eq!(
+            sx.solve(&[0.0; 3], &[10.0; 3], &sparse).status,
+            LpStatus::Optimal
+        );
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
+
+        // Both siblings return to the parent's factor without refactorizing,
+        // the second after the first pushed its own etas.
+        for _ in 0..2 {
+            let child = sx.solve_warm(&[0.0; 3], &child_ub, &sparse, Some(&snap));
+            assert_eq!((child.warm, child.refactors), (WarmStart::Taken, 0));
+            assert!(child.eta_pivots > 0, "the child must pivot");
+            assert!((child.objective - cold.objective).abs() < 1e-7);
+        }
+
+        // Another Simplex refuses the mark and refactorizes the snapshot.
+        let mut other = Simplex::new(&m);
+        other.solve(&[0.0; 3], &[10.0; 3], &sparse);
+        let foreign = other.solve_warm(&[0.0; 3], &child_ub, &sparse, Some(&snap));
+        assert_eq!((foreign.warm, foreign.refactors), (WarmStart::Taken, 1));
+
+        // So does this one after a cold solve reset its factor.
+        sx.solve(&[0.0; 3], &child_ub, &sparse);
+        let stale = sx.solve_warm(&[0.0; 3], &child_ub, &sparse, Some(&snap));
+        assert_eq!((stale.warm, stale.refactors), (WarmStart::Taken, 1));
+
+        // The dense oracle always refactorizes the snapshot.
+        let dense = opts_for(SimplexEngine::Dense);
+        sx.solve(&[0.0; 3], &[10.0; 3], &dense);
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
+        let child = sx.solve_warm(&[0.0; 3], &child_ub, &dense, Some(&snap));
+        assert_eq!((child.warm, child.refactors), (WarmStart::Taken, 1));
+        for out in [&foreign, &stale, &child] {
+            assert!(
+                (out.objective - cold.objective).abs() < 1e-7,
+                "{}",
+                out.objective
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_after_a_non_optimal_solve_carries_no_mark() {
+        let m = three_var_model();
+        let mut sx = Simplex::new(&m);
+        let sparse = opts_for(SimplexEngine::Sparse);
+        sx.solve(&[0.0; 3], &[10.0; 3], &sparse);
+        assert!(sx.basis_snapshot().expect("snapshot").mark.is_some());
+        let capped = SimplexOptions {
+            max_iterations: 0,
+            ..opts_for(SimplexEngine::Sparse)
+        };
+        assert_eq!(
+            sx.solve(&[0.0; 3], &[10.0; 3], &capped).status,
+            LpStatus::IterLimit
+        );
+        assert!(sx.basis_snapshot().expect("snapshot").mark.is_none());
     }
 
     #[test]

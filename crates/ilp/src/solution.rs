@@ -4,6 +4,8 @@ use std::error::Error;
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
+use crate::simplex::{LpOutcome, LpStatus, WarmStart};
+
 /// An abnormal solver condition, reported alongside the outcome instead of
 /// unwinding through the caller.
 ///
@@ -120,7 +122,8 @@ pub struct SolveStats {
     pub incumbents: u64,
     /// Basis refactorizations performed across all LP solves (the scheduled
     /// cadence set by [`SimplexOptions::refactor_every`](crate::SimplexOptions),
-    /// watchdog-forced rebuilds, and warm-start basis installations).
+    /// watchdog-forced rebuilds, and warm-start basis installations that
+    /// could not roll back to the parent's factor).
     pub refactors: u64,
     /// Product-form eta updates absorbed by the sparse basis engine across
     /// all LP solves (0 when the dense engine ran).
@@ -137,8 +140,8 @@ pub struct SolveStats {
     /// Time spent in BTRAN solves (pricing and dual rows) across all LP
     /// solves.
     pub btran_time: Duration,
-    /// Time spent factorizing bases (warm-start installations and every
-    /// refactorization) across all LP solves.
+    /// Time spent factorizing bases (every refactorization, warm-start
+    /// installations included) across all LP solves.
     pub factor_time: Duration,
     /// LP relaxations abandoned by the degenerate-pivot stall watchdog
     /// ([`LpStatus::Stalled`](crate::LpStatus)).
@@ -176,6 +179,27 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
+    /// Counts one LP solve: its effort, its timers, its warm-start
+    /// disposition and a stall. Every search folds its LPs through here,
+    /// so a new per-LP counter is added in one place.
+    pub fn add_lp(&mut self, lp: &LpOutcome) {
+        self.lp_solves += 1;
+        self.simplex_iterations += lp.iterations;
+        self.refactors += lp.refactors;
+        self.eta_pivots += lp.eta_pivots;
+        self.ftran_time += Duration::from_nanos(lp.ftran_nanos);
+        self.btran_time += Duration::from_nanos(lp.btran_nanos);
+        self.factor_time += Duration::from_nanos(lp.factor_nanos);
+        match lp.warm {
+            WarmStart::Taken => self.warm_starts += 1,
+            WarmStart::Abandoned => self.warm_abandoned += 1,
+            WarmStart::Cold => {}
+        }
+        if lp.status == LpStatus::Stalled {
+            self.stalled_lps += 1;
+        }
+    }
+
     /// Accumulates another run's statistics into `self` (durations add).
     ///
     /// This is the *only* merge path for parallel workers and for the

@@ -1,6 +1,7 @@
 //! Stress tests for the sparse basis engine on degenerate, rank-deficient,
 //! and stall-prone inputs: singular-basis recovery during refactorization,
-//! eta-file growth bounds, and warm-start fallback behaviour.
+//! eta-file growth bounds, warm-start fallback behaviour, and warm
+//! sequences that roll the eta file back to a parent's factor.
 //!
 //! Everything here drives the public [`Simplex`] API; the LU kernel's own
 //! unit tests (pivot selection, singular rejection, eta algebra) live next
@@ -9,6 +10,7 @@
 use optimod_ilp::{
     LpOutcome, LpStatus, Model, Sense, Simplex, SimplexEngine, SimplexOptions, WarmStart,
 };
+use proptest::prelude::*;
 
 fn sparse_opts() -> SimplexOptions {
     SimplexOptions {
@@ -228,4 +230,136 @@ fn warm_start_with_fixed_variable_child() {
         cold.objective
     );
     assert_ne!(warm.warm, WarmStart::Cold, "snapshot was offered and valid");
+}
+
+/// A random bounded LP for the rollback property: boxed variables, a few
+/// `<=`/`>=` rows, and three child bound changes `(var, new bound, is_lb)`.
+#[derive(Debug, Clone)]
+struct RollbackCase {
+    ub: Vec<i64>,
+    objective: Vec<i64>,
+    rows: Vec<(Vec<i64>, bool, i64)>,
+    children: Vec<(usize, i64, bool)>,
+}
+
+fn rollback_case() -> impl Strategy<Value = RollbackCase> {
+    (2usize..=6)
+        .prop_flat_map(|n| {
+            let rows = proptest::collection::vec(
+                (
+                    proptest::collection::vec(-3i64..=3, n),
+                    proptest::bool::ANY,
+                    -4i64..=12,
+                ),
+                1..=5,
+            );
+            let children = proptest::collection::vec((0..n, 0i64..=4, proptest::bool::ANY), 3);
+            (
+                proptest::collection::vec(1i64..=4, n),
+                proptest::collection::vec(-4i64..=4, n),
+                rows,
+                children,
+            )
+        })
+        .prop_map(|(ub, objective, rows, children)| RollbackCase {
+            ub,
+            objective,
+            rows,
+            children,
+        })
+}
+
+impl RollbackCase {
+    fn model(&self) -> Model {
+        let mut m = Model::new();
+        let x: Vec<_> = self
+            .ub
+            .iter()
+            .enumerate()
+            .map(|(j, &u)| m.num_var(0.0, u as f64, format!("x{j}")))
+            .collect();
+        m.set_objective(
+            Sense::Minimize,
+            x.iter().zip(&self.objective).map(|(&v, &c)| (v, c as f64)),
+        );
+        for (k, (coeffs, le, rhs)) in self.rows.iter().enumerate() {
+            let terms = x.iter().zip(coeffs).map(|(&v, &c)| (v, c as f64));
+            if *le {
+                m.add_le(terms, *rhs as f64, format!("r{k}"));
+            } else {
+                m.add_ge(terms, *rhs as f64, format!("r{k}"));
+            }
+        }
+        m
+    }
+
+    /// Bounds after applying `changes` on top of the root box; a change
+    /// only ever tightens, as a branch does.
+    fn bounds(&self, changes: &[(usize, i64, bool)]) -> (Vec<f64>, Vec<f64>) {
+        let mut lb = vec![0.0_f64; self.ub.len()];
+        let mut ub: Vec<f64> = self.ub.iter().map(|&u| u as f64).collect();
+        for &(j, v, is_lb) in changes {
+            if is_lb {
+                lb[j] = lb[j].max(v as f64);
+            } else {
+                ub[j] = ub[j].min(v as f64);
+            }
+        }
+        (lb, ub)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Parent → child A → A's child → child B, each warm-started the way
+    /// branch and bound does it: B starts from the parent's snapshot after
+    /// A's subtree pushed etas past its mark, so under the sparse engine B
+    /// rolls the eta file back. Every warm solve must agree with a cold
+    /// solve of the same box on status, and on the objective within 1e-6.
+    #[test]
+    fn rollback_sequence_matches_cold_solves(case in rollback_case()) {
+        let model = case.model();
+        let [a, a1, b] = [case.children[0], case.children[1], case.children[2]];
+        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
+            let opts = SimplexOptions { engine, ..Default::default() };
+            let check = |label: &str, out: &LpOutcome, changes: &[(usize, i64, bool)]| {
+                let (lb, ub) = case.bounds(changes);
+                let cold = Simplex::new(&model).solve(&lb, &ub, &opts);
+                prop_assert_eq!(out.status, cold.status, "{:?} {}", engine, label);
+                if cold.status == LpStatus::Optimal {
+                    prop_assert!(
+                        (out.objective - cold.objective).abs() < 1e-6,
+                        "{:?} {}: warm {} vs cold {}",
+                        engine,
+                        label,
+                        out.objective,
+                        cold.objective
+                    );
+                }
+                Ok(())
+            };
+            let mut sx = Simplex::new(&model);
+            let (lb, ub) = case.bounds(&[]);
+            let parent = sx.solve(&lb, &ub, &opts);
+            if parent.status != LpStatus::Optimal {
+                continue;
+            }
+            let parent_snap = sx.basis_snapshot().expect("optimal parent basis");
+
+            let (lb, ub) = case.bounds(&[a]);
+            let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
+            check("child A", &out, &[a])?;
+            if out.status == LpStatus::Optimal {
+                let snap = sx.basis_snapshot().expect("optimal child basis");
+                let (lb, ub) = case.bounds(&[a, a1]);
+                let out = sx.solve_warm(&lb, &ub, &opts, Some(&snap));
+                check("grandchild", &out, &[a, a1])?;
+            }
+
+            let (lb, ub) = case.bounds(&[b]);
+            let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
+            check("child B", &out, &[b])?;
+        }
+    }
 }

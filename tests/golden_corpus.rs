@@ -395,6 +395,29 @@ fn presolve_never_inflates_search() {
     );
 }
 
+/// Warm-started children of a serial search return to their parent's
+/// factor by rolling the eta file back, so almost none of them
+/// refactorizes (figure1 / traditional reads 0 refactors for 22 warm
+/// starts). Were the mark's stamps to stop matching, every warm start would
+/// silently fall back to refactorizing its snapshot (one refactor per warm
+/// start) and still give the same schedule: only this count shows it.
+#[test]
+fn warm_starts_roll_back_instead_of_refactorizing() {
+    let machine = example_3fu();
+    let r = golden_scheduler(DepStyle::Traditional, Trace::disabled(), false)
+        .schedule(&kernels::figure1(&machine), &machine);
+    assert_eq!(r.status, LoopStatus::Optimal);
+    let (refactors, warm) = (r.stats.refactors, r.stats.warm_starts);
+    assert!(
+        warm >= 10,
+        "figure1 / traditional took only {warm} warm starts"
+    );
+    assert!(
+        refactors * 4 <= warm,
+        "{refactors} refactors for {warm} warm starts: warm installs are not rolling back"
+    );
+}
+
 /// A `Write` target the test can read back after the solver is done with
 /// the sink (the sink is behind an `Arc`, so `into_inner` is unavailable).
 #[derive(Clone, Default)]
