@@ -10,7 +10,11 @@
 //! 2. a set of simulated branch-and-bound children — one integer variable
 //!    bound-fixed per child, exactly what `branch_bound.rs` does — each
 //!    re-solved three ways: dense cold, sparse cold, and sparse warm from
-//!    the parent's basis snapshot.
+//!    the parent's basis snapshot. The cold sparse solves run on a
+//!    `Simplex` of their own, so every warm child finds the root's factor
+//!    still in place and rolls its eta file back to it, as a
+//!    branch-and-bound child does; the table prints how many warm children
+//!    refactorized instead.
 //!
 //! The headline number is the geometric mean, across loops, of
 //! `dense cold / sparse warm` per-child re-solve time: the speedup a
@@ -88,6 +92,7 @@ struct Row {
     sparse_cold_ns: u64,
     sparse_warm_ns: u64,
     warm_taken: usize,
+    warm_refactors: u64,
     children: usize,
 }
 
@@ -106,6 +111,7 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
     );
     let mut dense = Simplex::new(model);
     let mut sparse = Simplex::new(model);
+    let mut sparse_cold = Simplex::new(model);
     let dense_opts = opts_for(SimplexEngine::Dense);
     let sparse_opts = opts_for(SimplexEngine::Sparse);
 
@@ -157,6 +163,7 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
     let mut sparse_cold_ns = 0u64;
     let mut sparse_warm_ns = 0u64;
     let mut warm_taken = 0usize;
+    let mut warm_refactors = 0u64;
     let mut children = 0usize;
     for (i, &v) in branch_vars.iter().step_by(stride).enumerate() {
         if children == children_per_loop {
@@ -176,7 +183,7 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         let d_ns = t0.elapsed().as_nanos() as u64;
 
         let t0 = Instant::now();
-        let c = sparse.solve(&clb, &cub, &sparse_child_opts);
+        let c = sparse_cold.solve(&clb, &cub, &sparse_child_opts);
         let c_ns = t0.elapsed().as_nanos() as u64;
 
         let t0 = Instant::now();
@@ -209,6 +216,7 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         if w.warm == WarmStart::Taken {
             warm_taken += 1;
         }
+        warm_refactors += w.refactors;
         children += 1;
     }
     let n = children.max(1) as u64;
@@ -222,6 +230,7 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         sparse_cold_ns: sparse_cold_ns / n,
         sparse_warm_ns: sparse_warm_ns / n,
         warm_taken,
+        warm_refactors,
         children,
     }
 }
@@ -241,8 +250,16 @@ fn main() {
          {CHILDREN} simulated children each\n"
     );
     println!(
-        "{:<14} {:>4} {:>5} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "loop", "ops", "rows", "dense-cold", "sparse-cold", "sparse-warm", "node-spd", "warm-hit"
+        "{:<14} {:>4} {:>5} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
+        "loop",
+        "ops",
+        "rows",
+        "dense-cold",
+        "sparse-cold",
+        "sparse-warm",
+        "node-spd",
+        "warm-hit",
+        "warm-rf"
     );
 
     let rows: Vec<Row> = (0..LOOPS as u64)
@@ -250,7 +267,7 @@ fn main() {
         .collect();
     for r in &rows {
         println!(
-            "{:<14} {:>4} {:>5} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x {:>6}/{}",
+            "{:<14} {:>4} {:>5} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x {:>6}/{} {:>8}",
             r.name,
             r.ops,
             r.rows,
@@ -259,7 +276,8 @@ fn main() {
             r.sparse_warm_ns as f64 / 1e6,
             r.dense_cold_ns as f64 / r.sparse_warm_ns.max(1) as f64,
             r.warm_taken,
-            r.children
+            r.children,
+            r.warm_refactors
         );
     }
 

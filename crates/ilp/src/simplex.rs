@@ -34,13 +34,14 @@
 //! and a child solved by the same `Simplex` returns to the parent's factor
 //! by truncating the eta file back to that mark instead of refactorizing;
 //! a stale or foreign mark falls back to refactorizing the snapshot basis.
-//! The dual loop computes the duals once and then updates them from each
-//! pivot row. A warm start that goes wrong (singular refactorization, pivot
-//! cap) is abandoned for the ordinary cold start, never failed.
+//! The dual loop prices its leaving row by Devex weights, computes the duals
+//! once and then updates them from each pivot row. A warm start that goes
+//! wrong (singular refactorization, pivot cap) is abandoned for the ordinary
+//! cold start, never failed.
 //!
-//! Numerical robustness: Dantzig pricing with a Bland's-rule fallback after
-//! a run of degenerate pivots, periodic refactorization on a tunable
-//! cadence, an eta-file growth bound, and a residual check at claimed
+//! Numerical robustness: primal Dantzig pricing with a Bland's-rule
+//! fallback after a run of degenerate pivots, periodic refactorization on a
+//! tunable cadence, an eta-file growth bound, and a residual check at claimed
 //! optimality. The watchdog thresholds are [`SimplexOptions`] fields so
 //! tests can tighten them without recompiling.
 //!
@@ -492,8 +493,11 @@ struct Work {
     y: Vec<f64>,
     /// Transformed entering column `v = B^{-1} A_j`.
     v: Vec<f64>,
-    /// Dual-row buffer `rho = e_r' B^{-1}` for the warm-restart dual pivot.
+    /// Dual-row buffer `rho = e_r' B^{-1}` for the dual pivot.
     rho: Vec<f64>,
+    /// Devex reference weights of the basic rows, for the dual loop's
+    /// leaving-row choice.
+    devex: Vec<f64>,
     /// BTRAN input scratch (basic costs / unit vectors, basis-position
     /// coordinates).
     cb: Vec<f64>,
@@ -643,40 +647,22 @@ impl Simplex {
             };
         }
 
-        let mut carry = WarmStart::Cold;
+        // The counters cover the whole solve: an abandoned warm start keeps
+        // what it spent.
+        reset_counters(&mut self.w);
         if opts.warm_start {
             if let Some(snap) = warm {
                 if snap.basis.len() == p.m && snap.at_upper.len() == p.n {
-                    match try_warm(p, &mut self.w, snap, lb, ub, opts) {
-                        WarmTry::Done(status) => return extract(p, &self.w, status),
-                        WarmTry::Abandon => carry = WarmStart::Abandoned,
+                    if let Some(status) = try_warm(p, &mut self.w, snap, lb, ub, opts) {
+                        return extract(p, &self.w, status);
                     }
+                    self.w.warm = WarmStart::Abandoned;
                 }
             }
         }
 
-        // Cold start, carrying over whatever an abandoned warm attempt
-        // already spent so the counters stay honest.
-        let spent = (
-            self.w.iterations,
-            self.w.refactors,
-            self.w.eta_pivots,
-            self.w.ftran_nanos,
-            self.w.btran_nanos,
-            self.w.factor_nanos,
-        );
         init_work(p, &mut self.w, lb, ub);
         self.w.engine.reset(opts.engine, p.m);
-        if carry == WarmStart::Abandoned {
-            self.w.iterations += spent.0;
-            self.w.refactors += spent.1;
-            self.w.eta_pivots += spent.2;
-            self.w.ftran_nanos += spent.3;
-            self.w.btran_nanos += spent.4;
-            self.w.factor_nanos += spent.5;
-        }
-        self.w.warm = carry;
-
         if let Some(outcome) = phase1(p, &mut self.w, opts) {
             return outcome;
         }
@@ -777,9 +763,13 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64]) {
     w.rho.resize(m, 0.0);
     w.cb.clear();
     w.cb.resize(m, 0.0);
-    w.iterations = 0;
     w.pivots_since_refactor = 0;
     w.degen_streak = 0;
+}
+
+/// Zeroes the per-solve effort counters reported in [`LpOutcome`].
+fn reset_counters(w: &mut Work) {
+    w.iterations = 0;
     w.refactors = 0;
     w.eta_pivots = 0;
     w.warm = WarmStart::Cold;
@@ -1169,14 +1159,6 @@ fn optimize(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) -> L
     }
 }
 
-/// Outcome of one warm-start attempt.
-enum WarmTry {
-    /// The restart ran to a terminal status; extract from the workspace.
-    Done(LpStatus),
-    /// The restart was given up; fall back to a cold start.
-    Abandon,
-}
-
 /// Outcome of the dual-simplex feasibility restoration loop.
 enum DualResult {
     /// Primal feasibility restored; hand over to the primal clean-up pass.
@@ -1191,7 +1173,7 @@ enum DualResult {
 }
 
 /// Installs a parent basis snapshot and re-solves via dual simplex + primal
-/// clean-up.
+/// clean-up. `None` means the restart was given up for a cold start.
 fn try_warm(
     p: &Problem,
     w: &mut Work,
@@ -1199,7 +1181,7 @@ fn try_warm(
     lb: &[f64],
     ub: &[f64],
     opts: &SimplexOptions,
-) -> WarmTry {
+) -> Option<LpStatus> {
     init_work(p, w, lb, ub);
     // Rollback or refactorization below replaces the basis representation,
     // so no identity is built first; a singular snapshot is abandoned, and
@@ -1226,31 +1208,34 @@ fn try_warm(
     } else if !refactor(p, w) {
         // A singular snapshot (possible after aggressive bound fixing)
         // abandons the restart.
-        return WarmTry::Abandon;
+        return None;
     }
     w.warm = WarmStart::Taken;
 
-    let total = p.n;
     w.cost.clear();
-    w.cost.resize(total, 0.0);
+    w.cost.resize(p.n, 0.0);
     w.cost[..p.n_struct].copy_from_slice(&p.cost);
     let cost = std::mem::take(&mut w.cost);
     let dual = dual_restore(p, w, &cost, opts);
     w.cost = cost;
     match dual {
-        DualResult::Feasible => WarmTry::Done(phase2_finish(p, w, opts)),
-        DualResult::Infeasible => WarmTry::Done(LpStatus::Infeasible),
-        DualResult::Interrupted(status) => WarmTry::Done(status),
-        DualResult::Abandon => WarmTry::Abandon,
+        DualResult::Feasible => Some(phase2_finish(p, w, opts)),
+        DualResult::Infeasible => Some(LpStatus::Infeasible),
+        DualResult::Interrupted(status) => Some(status),
+        DualResult::Abandon => None,
     }
 }
 
 /// Bounded dual simplex: starting from a dual-feasible basis (the parent's
 /// optimal basis with unchanged costs), drives out primal bound violations
-/// introduced by the child's bound change. Leaving row = largest violation;
-/// entering column by the dual ratio test `min |d_j / alpha_j|` over
-/// sign-eligible columns; no eligible column proves infeasibility (the row
-/// is a Farkas certificate over the box).
+/// introduced by the child's bound change. The leaving row is priced by
+/// Devex (Forrest & Goldfarb 1992): the row maximizing `viol^2 / w_r`. The
+/// reference weights `w` start at 1 on every entry (the exact steepest-edge
+/// weights of a slack basis) and are updated from the entering column, so
+/// they cost no extra solve. The entering column comes from the dual ratio
+/// test `min |d_j / alpha_j|` over sign-eligible columns; no eligible
+/// column proves infeasibility (the row is a Farkas certificate over the
+/// box).
 ///
 /// The duals `y = c_B' B^{-1}` are BTRANed on entry and after any
 /// refactorization, and in between updated from the pivot row:
@@ -1261,9 +1246,11 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
     let m = p.m;
     let mut pivots: u64 = 0;
     let mut y_current = false;
+    w.devex.clear();
+    w.devex.resize(m, 1.0);
     loop {
-        // Leaving row: the basic variable with the largest bound violation.
-        let mut leave: Option<(usize, f64, bool)> = None; // (row, viol, above)
+        // Leaving row: the largest Devex-weighted bound violation.
+        let mut leave: Option<(usize, f64, bool)> = None; // (row, score, above)
         for k in 0..m {
             let bv = w.basis[k] as usize;
             let below = w.lb[bv] - w.xb[k];
@@ -1273,8 +1260,11 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
             } else {
                 (below, false)
             };
-            if viol > FEAS_TOL && leave.is_none_or(|(_, bviol, _)| viol > bviol) {
-                leave = Some((k, viol, is_above));
+            if viol > FEAS_TOL {
+                let score = viol * viol / w.devex[k];
+                if leave.is_none_or(|(_, best, _)| score > best) {
+                    leave = Some((k, score, is_above));
+                }
             }
         }
         let Some((r, _, above)) = leave else {
@@ -1382,11 +1372,15 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
         w.iterations += 1;
         pivots += 1;
         let enter_val = nb_value(w, j) + s;
+        let wr = w.devex[r];
         for k in 0..m {
             if k != r {
                 w.xb[k] -= s * w.v[k];
+                let ratio = w.v[k] / vr;
+                w.devex[k] = w.devex[k].max(ratio * ratio * wr);
             }
         }
+        w.devex[r] = (wr / (vr * vr)).max(1.0);
         w.at_upper[bvr] = above;
         let v = std::mem::take(&mut w.v);
         apply_pivot(p, w, r, j, &v, enter_val);

@@ -8,7 +8,8 @@
 //! to the implementation in `src/factor.rs`.
 
 use optimod_ilp::{
-    LpOutcome, LpStatus, Model, Sense, Simplex, SimplexEngine, SimplexOptions, WarmStart,
+    FaultAction, FaultPlan, FaultSite, LpOutcome, LpStatus, Model, Sense, Simplex, SimplexEngine,
+    SimplexOptions, WarmStart,
 };
 use proptest::prelude::*;
 
@@ -360,6 +361,68 @@ proptest! {
             let (lb, ub) = case.bounds(&[b]);
             let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
             check("child B", &out, &[b])?;
+        }
+    }
+}
+
+#[test]
+fn interrupted_warm_dual_restart_is_never_infeasible() {
+    // A feasible child of a covering LP whose parent vertex violates the
+    // child's box, so the warm restart needs dual pivots. Stopping the solve
+    // at any pivot must report the interruption, never `Infeasible`: that
+    // would let branch and bound prune a feasible subtree.
+    let mut m = Model::new();
+    let x: Vec<_> = (0..5)
+        .map(|j| m.num_var(0.0, 5.0, format!("x{j}")))
+        .collect();
+    m.set_objective(
+        Sense::Minimize,
+        x.iter()
+            .zip([3.0, 1.0, 4.0, 1.0, 5.0])
+            .map(|(&v, c)| (v, c)),
+    );
+    m.add_ge([(x[0], 1.0), (x[1], 1.0)], 3.0, "c0");
+    m.add_ge([(x[1], 1.0), (x[2], 2.0)], 4.0, "c1");
+    m.add_ge([(x[2], 1.0), (x[3], 1.0), (x[4], 1.0)], 5.0, "c2");
+    m.add_ge([(x[0], 2.0), (x[3], 1.0)], 6.0, "c3");
+    m.add_le([(x[1], 1.0), (x[3], 1.0)], 7.0, "c4");
+    let lb = [0.0; 5];
+    let child_ub = [5.0, 1.0, 5.0, 1.0, 5.0];
+    for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
+        let clean_opts = SimplexOptions {
+            engine,
+            ..Default::default()
+        };
+        let solve_child = |opts: &SimplexOptions| {
+            let mut sx = Simplex::new(&m);
+            let parent = sx.solve(&lb, &[5.0; 5], &clean_opts);
+            assert_eq!(parent.status, LpStatus::Optimal);
+            let snap = sx.basis_snapshot().expect("optimal parent basis");
+            sx.solve_warm(&lb, &child_ub, opts, Some(&snap))
+        };
+        let clean = solve_child(&clean_opts);
+        assert_eq!(
+            (clean.status, clean.warm),
+            (LpStatus::Optimal, WarmStart::Taken)
+        );
+        assert!(clean.iterations >= 2, "the child must need dual pivots");
+        for action in [FaultAction::Stall, FaultAction::SpuriousTimeout] {
+            for nth in 1..=clean.iterations + 1 {
+                let fault = FaultPlan::single(FaultSite::SimplexPivot, action, nth);
+                let out = solve_child(&SimplexOptions {
+                    fault: fault.clone(),
+                    ..clean_opts.clone()
+                });
+                let expect = match (fault.fired_count(), action) {
+                    (0, _) => LpStatus::Optimal,
+                    (_, FaultAction::Stall) => LpStatus::Stalled,
+                    _ => LpStatus::IterLimit,
+                };
+                assert_eq!(out.status, expect, "{engine:?} {action:?} at pivot {nth}");
+                if expect == LpStatus::Optimal {
+                    assert!((out.objective - clean.objective).abs() < 1e-9);
+                }
+            }
         }
     }
 }
