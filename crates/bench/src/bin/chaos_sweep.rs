@@ -77,8 +77,8 @@ fn run_cell(machine: &Machine, l: &Loop, seed: u64, portfolio: bool) -> Cell {
     let sink = Arc::new(MemorySink::default());
     let mut cfg = SchedulerConfig::new(DepStyle::Structured, objective)
         .with_time_limit(Duration::from_millis(1500));
-    // Odd seeds exercise the parallel engine (worker-start faults can only
-    // fire there); even seeds pin the deterministic serial engine. A
+    // Odd seeds run two search workers; even seeds pin one deterministic
+    // worker (worker-start faults fire at both counts). A
     // portfolio cell always runs SAT serially first, then the ILP on these
     // workers.
     cfg.limits.threads = if seed.is_multiple_of(2) { 1 } else { 2 };

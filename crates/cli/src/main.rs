@@ -39,7 +39,7 @@
 //!                         declaring the loop infeasible (default 64)
 //!   --threads <n>         branch-and-bound worker threads
 //!                         (default: OPTIMOD_THREADS, else all cores;
-//!                         1 = deterministic serial search)
+//!                         1 = one deterministic worker)
 //!   --portfolio           ask the CDCL SAT backend first at each
 //!                         tentative II, then the ILP unless SAT certified
 //!                         a schedule (needs --objective noobj without

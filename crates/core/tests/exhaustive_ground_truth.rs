@@ -8,7 +8,7 @@
 
 use optimod::{build_model, DepStyle, FormulationConfig, Objective, Schedule};
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
-use optimod_ilp::SolveStatus;
+use optimod_ilp::{FaultAction, FaultPlan, FaultSite, SolveLimits, SolveStatus};
 use optimod_machine::{Machine, MachineBuilder, OpClass};
 
 /// A machine with a shared single-slot bus at offset 1, so resource
@@ -174,4 +174,97 @@ fn noobj_feasibility_matches_exhaustive() {
             );
         }
     }
+}
+
+/// A search stopped at any checkpoint is a limit, never an infeasibility
+/// proof. Each tiny loop is solved at its first feasible II and, under a
+/// register cap one below the enumerated minimum MaxLive, at the first II
+/// whose capped model is LP-feasible (the root branches) but has no
+/// integral point. A stall or spurious timeout is injected at every
+/// node-expansion hit of the clean run (the root and each counted node hit
+/// once) plus one past the end, at one and two threads: `Infeasible` may
+/// only come from a run in which nothing fired, and never where the
+/// enumeration finds a schedule.
+#[test]
+fn a_stop_at_any_node_is_never_an_infeasibility_proof() {
+    let machine = bus_machine();
+    let mut capped_cells = 0;
+    for l in tiny_loops(&machine) {
+        for style in [DepStyle::Traditional, DepStyle::Structured] {
+            let cfg = |max_live_limit| FormulationConfig {
+                dep_style: style,
+                objective: Objective::MinMaxLive,
+                sched_len_slack: 4,
+                max_live_limit,
+            };
+            let mut cells = Vec::new();
+            for ii in 1..=4u32 {
+                let Some(built) = build_model(&l, &machine, ii, &cfg(None)) else {
+                    continue;
+                };
+                let window = built.num_stages * ii as i64;
+                let Some(min_live) = brute_force(&l, &machine, ii, window) else {
+                    continue;
+                };
+                if cells.is_empty() {
+                    cells.push((ii, built.model, true));
+                }
+                if min_live == 0 || cells.len() == 2 {
+                    continue;
+                }
+                let capped = build_model(&l, &machine, ii, &cfg(Some(min_live - 1)))
+                    .expect("a capped model builds wherever the uncapped one does");
+                let clean = capped.model.solve_with(SolveLimits {
+                    threads: 1,
+                    ..Default::default()
+                });
+                assert_eq!(
+                    clean.status,
+                    SolveStatus::Infeasible,
+                    "{} II={ii}",
+                    l.name()
+                );
+                if clean.stats.bb_nodes > 0 {
+                    cells.push((ii, capped.model, false));
+                    capped_cells += 1;
+                }
+            }
+            for (ii, model, has_schedule) in cells {
+                let clean = model.solve_with(SolveLimits {
+                    threads: 1,
+                    ..Default::default()
+                });
+                let hits = clean.stats.bb_nodes + 1;
+                for threads in [1u32, 2] {
+                    for action in [FaultAction::SpuriousTimeout, FaultAction::Stall] {
+                        for nth in 1..=hits + 1 {
+                            let plan = FaultPlan::single(FaultSite::NodeExpand, action, nth);
+                            let out = model.solve_with(SolveLimits {
+                                threads,
+                                fault: plan.clone(),
+                                ..Default::default()
+                            });
+                            let cell = format!(
+                                "{} II={ii} {style:?} threads={threads} {action:?}@{nth}",
+                                l.name()
+                            );
+                            if plan.fired_count() > 0 {
+                                assert!(
+                                    matches!(
+                                        out.status,
+                                        SolveStatus::Feasible | SolveStatus::LimitReached
+                                    ),
+                                    "{cell}: a stopped search reported {:?}",
+                                    out.status
+                                );
+                            } else if out.status == SolveStatus::Infeasible {
+                                assert!(!has_schedule, "{cell}: Infeasible with a schedule");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(capped_cells > 0, "no LP-feasible, integer-infeasible cell");
 }

@@ -8,31 +8,26 @@
 //! count directly reflects the tightness of the formulation — which is
 //! exactly the quantity the paper uses to compare formulations.
 //!
-//! Two search engines share the node logic:
-//!
-//! * **Serial** ([`SolveLimits::threads`] resolving to 1): an explicit
-//!   open-node stack that reproduces the classic recursive DFS order
-//!   exactly — node counts and simplex-iteration totals are bit-identical
-//!   run to run, which the figure/table experiments depend on. The explicit
-//!   stack also removes any recursion-depth limit on deep searches.
-//! * **Parallel** (threads > 1): a work-stealing pool where each worker
-//!   owns a private [`Simplex`] workspace and a deque of open nodes
-//!   (depth-first from the back of its own deque, stealing from the front
-//!   of others'), sharing the incumbent through an atomic. Node counts may
-//!   vary between runs — statuses and optimal objectives do not.
+//! The search itself lives in `search`: a work-stealing pool of workers,
+//! each owning a private [`Simplex`](crate::Simplex) workspace.
+//! [`SolveLimits::threads`] resolving to 1 runs it with one worker inline
+//! on the calling thread, which explores in the classic recursive DFS
+//! order — node counts and simplex-iteration totals are bit-identical run
+//! to run, which the figure/table experiments depend on. More threads
+//! share the incumbent through an atomic; node counts may then vary
+//! between runs — statuses and optimal objectives do not.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use optimod_trace::{LpClass, NodeOutcome, Phase, Trace, TraceEvent};
+use optimod_trace::{LpClass, Trace, TraceEvent};
 
-use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::model::{Model, Sense, VarId};
-use crate::parallel;
-use crate::simplex::{Basis, LpOutcome, LpStatus, Simplex, SimplexOptions};
+use crate::fault::FaultPlan;
+use crate::model::{Model, VarId};
+use crate::search;
+use crate::simplex::{LpStatus, SimplexOptions};
 use crate::solution::{panic_message, SolveError, SolveOutcome, SolveStats, SolveStatus};
 use crate::stop::StopFlag;
-use crate::tol::{INT_ROUND_TOL, INT_TOL, PRUNE_TOL};
+use crate::tol::{INT_ROUND_TOL, INT_TOL};
 
 /// Maps an LP status to its trace classification.
 pub(crate) fn lp_class(status: LpStatus) -> LpClass {
@@ -69,8 +64,7 @@ pub enum BranchRule {
 }
 
 /// Picks the branching variable under `rule` from the fractional integer
-/// variables of an LP point. Shared by the serial and parallel engines so
-/// both walk the same tree shape.
+/// variables of an LP point.
 pub(crate) fn choose_branch(
     rule: BranchRule,
     int_vars: &[VarId],
@@ -126,8 +120,6 @@ pub struct SolveLimits {
     pub time_limit: Duration,
     /// Maximum number of branch-and-bound nodes (beyond the root).
     pub node_limit: u64,
-    /// Maximum total simplex iterations.
-    pub iteration_limit: u64,
     /// Branching rule.
     pub branch_rule: BranchRule,
     /// Stop at the first integral solution instead of proving optimality.
@@ -141,10 +133,10 @@ pub struct SolveLimits {
     /// already holds a solution attaining it.
     pub cutoff: Option<f64>,
     /// Worker threads for the search. `1` (the experiments' setting) runs
-    /// the deterministic serial DFS; `n > 1` runs the work-stealing
-    /// parallel search; `0` resolves from the environment — the
-    /// `OPTIMOD_THREADS` variable when set, otherwise the machine's
-    /// available parallelism.
+    /// one worker on the calling thread, in deterministic DFS order;
+    /// `n > 1` adds `n - 1` spawned work-stealing workers; `0` resolves
+    /// from the environment — the `OPTIMOD_THREADS` variable when set,
+    /// otherwise the machine's available parallelism.
     pub threads: u32,
     /// Cooperative cancellation observed between nodes and inside every LP
     /// pivot loop. Cloning `SolveLimits` shares the flag, so a caller can
@@ -167,7 +159,6 @@ impl Default for SolveLimits {
         SolveLimits {
             time_limit: Duration::from_secs(900),
             node_limit: 1_000_000,
-            iteration_limit: u64::MAX,
             branch_rule: BranchRule::default(),
             first_solution_only: false,
             cutoff: None,
@@ -219,24 +210,6 @@ pub struct Solver {
     simplex_options: SimplexOptions,
 }
 
-struct Search<'a> {
-    model: &'a Model,
-    simplex: Simplex,
-    limits: SolveLimits,
-    opts: SimplexOptions,
-    start: Instant,
-    minimize: bool,
-    integral_objective: bool,
-    incumbent: Option<(f64, Vec<f64>)>, // objective in minimize sense
-    /// External cutoff converted to minimize sense (+inf when unset).
-    cutoff_min: f64,
-    best_bound: f64, // minimize sense
-    stats: SolveStats,
-    int_vars: Vec<VarId>,
-    limit_hit: bool,
-    error: Option<SolveError>,
-}
-
 impl Solver {
     /// Creates a solver with the given limits and default simplex options.
     pub fn new(limits: SolveLimits) -> Self {
@@ -257,26 +230,22 @@ impl Solver {
     /// Never unwinds: a panic anywhere in the search (an injected fault, a
     /// genuine bug) is caught here as a last resort and reported as
     /// [`SolveError::WorkerPanic`] on a [`SolveStatus::LimitReached`]
-    /// outcome. (The serial per-LP and parallel per-node recovery paths
-    /// usually catch panics earlier with better bookkeeping.)
+    /// outcome. (The search's per-node and worker-startup recovery usually
+    /// catches panics earlier with better bookkeeping.)
     pub fn solve(&self, model: &Model) -> SolveOutcome {
         let start = Instant::now();
         // Individual LP solves must not overshoot the whole-solve budget,
-        // and must observe the caller's cancellation flag and fault plan.
+        // and must observe the caller's fault plan (and, through the
+        // search's own flag, its cancellation).
         let mut opts = self.simplex_options.clone();
         if let Some(budget_end) = start.checked_add(self.limits.time_limit) {
             opts.deadline = Some(opts.deadline.map_or(budget_end, |d| d.min(budget_end)));
         }
-        opts.stop = self.limits.stop.clone();
         opts.fault = self.limits.fault.clone();
 
         let fired_before = self.limits.fault.fired_count();
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if self.limits.resolve_threads() > 1 {
-                parallel::solve(model, &self.limits, &opts, start)
-            } else {
-                self.solve_serial(model, start, opts.clone())
-            }
+            search::solve(model, &self.limits, &opts, start)
         }));
         let mut outcome = match solved {
             Ok(outcome) => outcome,
@@ -307,414 +276,12 @@ impl Solver {
             self.limits.fault.fired_count().saturating_sub(fired_before);
         outcome
     }
-
-    /// The deterministic serial DFS engine.
-    fn solve_serial(&self, model: &Model, start: Instant, opts: SimplexOptions) -> SolveOutcome {
-        let minimize = model.obj_sense == Sense::Minimize;
-        self.limits.trace.emit(|| TraceEvent::SolveBegin {
-            variables: model.num_vars() as u64,
-            constraints: model.num_constraints() as u64,
-            threads: 1,
-        });
-        let mut search = Search {
-            model,
-            simplex: Simplex::new(model),
-            limits: self.limits.clone(),
-            opts,
-            start,
-            minimize,
-            integral_objective: model.objective_is_integral(),
-            incumbent: None,
-            cutoff_min: self
-                .limits
-                .cutoff
-                .map_or(f64::INFINITY, |c| if minimize { c } else { -c }),
-            best_bound: f64::NEG_INFINITY,
-            stats: SolveStats {
-                variables: model.num_vars() as u64,
-                constraints: model.num_constraints() as u64,
-                ..Default::default()
-            },
-            int_vars: (0..model.num_vars())
-                .map(|i| VarId(i as u32))
-                .filter(|v| model.is_integer(*v))
-                .collect(),
-            limit_hit: false,
-            error: None,
-        };
-
-        let mut lb: Vec<f64> = (0..model.num_vars()).map(|j| model.vars[j].lb).collect();
-        let mut ub: Vec<f64> = (0..model.num_vars()).map(|j| model.vars[j].ub).collect();
-        // Tighten integer bounds to integral values up front.
-        for &v in &search.int_vars {
-            let j = v.index();
-            lb[j] = lb[j].ceil();
-            ub[j] = ub[j].floor();
-            if lb[j] > ub[j] {
-                return search.finish(true);
-            }
-        }
-
-        let root_result = search.run(&mut lb, &mut ub);
-        let proven_infeasible = root_result == Explored::Infeasible && search.incumbent.is_none();
-        search.finish(proven_infeasible)
-    }
-}
-
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-enum Explored {
-    Done,
-    Infeasible,
-    Stop,
-}
-
-/// One entry of the explicit DFS stack. `Node` expands the subproblem
-/// defined by the *current* contents of the bound arrays; the `Set*`
-/// frames mutate one bound in place, serving both as "apply child bound"
-/// (pushed below a `Node`) and as "undo on the way back up" (pushed below
-/// the sibling's frames). This replaces recursion one-for-one: frames are
-/// pushed in reverse execution order, so popping replays exactly the
-/// recursive apply/explore/restore sequence — same node order, same node
-/// count — without consuming call stack on deep searches.
-enum Frame {
-    /// `warm` carries the parent's optimal basis for a warm-started
-    /// re-solve; `Arc` so both children (and the parallel engine's stolen
-    /// nodes) share one snapshot.
-    Node {
-        depth: u32,
-        warm: Option<Arc<Basis>>,
-    },
-    SetLb {
-        j: usize,
-        v: f64,
-    },
-    SetUb {
-        j: usize,
-        v: f64,
-    },
-}
-
-impl Search<'_> {
-    /// Objective value converted to "minimize" orientation.
-    fn to_min(&self, model_obj: f64) -> f64 {
-        if self.minimize {
-            model_obj
-        } else {
-            -model_obj
-        }
-    }
-
-    fn min_to_model(&self, min_obj: f64) -> f64 {
-        if self.minimize {
-            min_obj
-        } else {
-            -min_obj
-        }
-    }
-
-    fn out_of_budget(&mut self) -> bool {
-        if self.start.elapsed() >= self.limits.time_limit
-            || self.stats.bb_nodes >= self.limits.node_limit
-            || self.stats.simplex_iterations >= self.limits.iteration_limit
-            || self.limits.stop.is_stopped()
-        {
-            self.limit_hit = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Iterative depth-first exploration from the root relaxation.
-    /// Returns the root's own classification (`Infeasible` only when the
-    /// root LP itself was infeasible — a child's infeasibility just prunes
-    /// that subtree, as in the recursive formulation).
-    fn run(&mut self, lb: &mut [f64], ub: &mut [f64]) -> Explored {
-        let mut stack: Vec<Frame> = vec![Frame::Node {
-            depth: 0,
-            warm: None,
-        }];
-        let mut root_result = Explored::Done;
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::SetLb { j, v } => lb[j] = v,
-                Frame::SetUb { j, v } => ub[j] = v,
-                Frame::Node { depth, warm } => match self.expand(lb, ub, depth, warm, &mut stack) {
-                    Explored::Stop => return Explored::Stop,
-                    r => {
-                        if depth == 0 {
-                            root_result = r;
-                        }
-                    }
-                },
-            }
-        }
-        root_result
-    }
-
-    /// Processes one node: budget check, LP relaxation, prune / record /
-    /// branch. Child subproblems are pushed onto `stack`; `depth == 0` is
-    /// the root relaxation, which is not counted as a branch-and-bound node
-    /// (matching the paper, where "0 nodes" means the root LP was already
-    /// integral).
-    fn expand(
-        &mut self,
-        lb: &mut [f64],
-        ub: &mut [f64],
-        depth: u32,
-        warm: Option<Arc<Basis>>,
-        stack: &mut Vec<Frame>,
-    ) -> Explored {
-        if self.out_of_budget() {
-            return Explored::Stop;
-        }
-        // Deterministic fault injection at node expansion. The check sits
-        // before the NodeOpen emit so an injected panic (raised inside
-        // `fire`) leaves the trace's open/close pairing balanced.
-        if let Some(action) = self.limits.fault.fire(FaultSite::NodeExpand) {
-            self.limits.trace.emit(|| TraceEvent::FaultInjected {
-                worker: 0,
-                site: FaultSite::NodeExpand.name(),
-                action: action.name(),
-            });
-            match action {
-                FaultAction::Stall => {
-                    self.limit_hit = true;
-                    self.error = Some(SolveError::NumericallyUnstable {
-                        iterations: self.stats.simplex_iterations,
-                    });
-                    return Explored::Stop;
-                }
-                FaultAction::SpuriousTimeout => {
-                    self.limit_hit = true;
-                    return Explored::Stop;
-                }
-                FaultAction::Panic | FaultAction::PerturbIncumbent => {}
-            }
-        }
-        // Cloning releases the borrow on `self.limits` so spans can coexist
-        // with `&mut self` field access below; clones share the sink.
-        let trace = self.limits.trace.clone();
-        // The root (depth 0) is not a counted node and gets no open/close
-        // pair — every NodeOpen in the stream is a counted bb_node.
-        let close = |outcome: NodeOutcome| {
-            if depth > 0 {
-                trace.emit(|| TraceEvent::NodeClose { worker: 0, outcome });
-            }
-        };
-        if depth > 0 {
-            self.stats.bb_nodes += 1;
-            trace.emit(|| TraceEvent::NodeOpen { worker: 0, depth });
-        }
-        // Recover panics from inside the LP solve (injected faults, numeric
-        // bugs) as a typed error with the node closed, mirroring the
-        // parallel workers' per-node recovery.
-        let lp: LpOutcome = {
-            let _root_span = if depth == 0 {
-                Some(trace.span(Phase::RootLp))
-            } else {
-                None
-            };
-            let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.simplex.solve_warm(lb, ub, &self.opts, warm.as_deref())
-            }));
-            match solved {
-                Ok(lp) => lp,
-                Err(payload) => {
-                    self.stats.panics_recovered += 1;
-                    self.limit_hit = true;
-                    self.error = Some(SolveError::WorkerPanic(panic_message(payload.as_ref())));
-                    close(NodeOutcome::Panicked);
-                    trace.emit(|| TraceEvent::PanicRecovered { worker: 0 });
-                    return Explored::Stop;
-                }
-            }
-        };
-        self.stats.add_lp(&lp);
-        trace.emit(|| TraceEvent::LpSolved {
-            worker: 0,
-            class: lp_class(lp.status),
-            iterations: lp.iterations,
-            refactors: lp.refactors,
-            etas: lp.eta_pivots,
-            warm: lp.warm.name(),
-        });
-        match lp.status {
-            LpStatus::Infeasible => {
-                close(NodeOutcome::Infeasible);
-                return Explored::Infeasible;
-            }
-            LpStatus::Unbounded => {
-                // An unbounded relaxation of a bounded integer program can
-                // only occur with unbounded integer variables; treat the
-                // whole subtree as unprunable and bail out conservatively.
-                self.limit_hit = true;
-                close(NodeOutcome::Limit);
-                return Explored::Stop;
-            }
-            LpStatus::IterLimit => {
-                self.limit_hit = true;
-                close(NodeOutcome::Limit);
-                return Explored::Stop;
-            }
-            LpStatus::Stalled => {
-                // The watchdog abandoned a numerically unstable LP. Keep
-                // whatever incumbent exists and report the cause.
-                self.limit_hit = true;
-                self.error = Some(SolveError::NumericallyUnstable {
-                    iterations: lp.iterations,
-                });
-                close(NodeOutcome::Limit);
-                return Explored::Stop;
-            }
-            LpStatus::Optimal => {}
-        }
-        let mut bound = self.to_min(lp.objective);
-        if self.integral_objective {
-            // Any integral solution has an integral objective: round up.
-            bound = tighten_integral_bound(bound);
-        }
-        if depth == 0 {
-            self.best_bound = bound;
-        }
-        let threshold = self
-            .incumbent
-            .as_ref()
-            .map_or(f64::INFINITY, |(inc, _)| *inc)
-            .min(self.cutoff_min);
-        if bound >= threshold - PRUNE_TOL {
-            close(NodeOutcome::PrunedBound);
-            return Explored::Done; // pruned by incumbent or external cutoff
-        }
-
-        let Some((bv, bx)) = choose_branch(self.limits.branch_rule, &self.int_vars, &lp.values)
-        else {
-            // Integral solution.
-            let mut obj = self.to_min(lp.objective);
-            if obj < threshold - PRUNE_TOL {
-                self.stats.incumbents += 1;
-                if self.limits.fault.take_incumbent_perturbation() {
-                    // Injected corruption: the claimed objective no longer
-                    // matches the stored values. The exact-arithmetic
-                    // certifier downstream must catch the mismatch if this
-                    // incumbent survives to the final outcome.
-                    obj += 0.5;
-                }
-                let model_obj = self.min_to_model(obj);
-                trace.emit(|| TraceEvent::Incumbent {
-                    worker: 0,
-                    objective: model_obj,
-                });
-                self.incumbent = Some((obj, lp.values.clone()));
-            }
-            close(NodeOutcome::Integral);
-            if self.limits.first_solution_only {
-                return Explored::Stop;
-            }
-            return Explored::Done;
-        };
-
-        // Branch: explore the child nearest the LP value first.
-        let j = bv.index();
-        let floor = bx.floor();
-        let (old_lb, old_ub) = (lb[j], ub[j]);
-        // Defensive: an LP value outside the node bounds signals a numerical
-        // failure in the relaxation; branching would not shrink the domain
-        // and the search could loop forever.
-        if floor >= old_ub || floor + 1.0 <= old_lb {
-            debug_assert!(
-                false,
-                "LP value {bx} of {} escapes node bounds [{old_lb}, {old_ub}]",
-                self.model.var_name(bv)
-            );
-            self.limit_hit = true;
-            close(NodeOutcome::Limit);
-            return Explored::Stop;
-        }
-        let down_first = down_child_first(self.limits.branch_rule, bx, floor);
-
-        // Push apply / explore / restore frames for both children in
-        // reverse execution order (the down child tightens the upper bound
-        // to `floor`, the up child raises the lower bound to `floor + 1`).
-        let child = |down: bool| {
-            if down {
-                (Frame::SetUb { j, v: floor }, Frame::SetUb { j, v: old_ub })
-            } else {
-                (
-                    Frame::SetLb { j, v: floor + 1.0 },
-                    Frame::SetLb { j, v: old_lb },
-                )
-            }
-        };
-        let (first_apply, first_restore) = child(down_first);
-        let (second_apply, second_restore) = child(!down_first);
-        // This node's optimal basis warm-starts both children (one bound
-        // change away, so the parent basis stays dual feasible for them).
-        let snapshot = self.simplex.basis_snapshot().map(Arc::new);
-        stack.push(second_restore);
-        stack.push(Frame::Node {
-            depth: depth + 1,
-            warm: snapshot.clone(),
-        });
-        stack.push(second_apply);
-        stack.push(first_restore);
-        stack.push(Frame::Node {
-            depth: depth + 1,
-            warm: snapshot,
-        });
-        stack.push(first_apply);
-        close(NodeOutcome::Branched);
-        Explored::Done
-    }
-
-    fn finish(mut self, proven_infeasible: bool) -> SolveOutcome {
-        self.stats.wall_time = self.start.elapsed();
-        let outcome = match self.incumbent.take() {
-            Some((obj, values)) => {
-                let status = if self.limit_hit && !self.limits.first_solution_only {
-                    SolveStatus::Feasible
-                } else {
-                    SolveStatus::Optimal
-                };
-                SolveOutcome {
-                    status,
-                    objective: self.min_to_model(obj),
-                    values,
-                    best_bound: self.min_to_model(if status == SolveStatus::Optimal {
-                        obj
-                    } else {
-                        self.best_bound
-                    }),
-                    stats: self.stats,
-                    error: self.error.take(),
-                }
-            }
-            None => SolveOutcome {
-                status: if proven_infeasible && !self.limit_hit {
-                    SolveStatus::Infeasible
-                } else if self.limit_hit {
-                    SolveStatus::LimitReached
-                } else {
-                    SolveStatus::Infeasible
-                },
-                objective: f64::NAN,
-                values: vec![],
-                best_bound: self.min_to_model(self.best_bound),
-                stats: self.stats,
-                error: self.error.take(),
-            },
-        };
-        self.limits.trace.emit(|| TraceEvent::SolveEnd {
-            status: outcome.status.name(),
-        });
-        outcome
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
+    use crate::model::{Model, Sense};
 
     #[test]
     fn knapsack_small() {

@@ -33,10 +33,15 @@ use std::sync::{Arc, Mutex};
 pub enum FaultSite {
     /// Inside the simplex pivot loop (one hit per iteration).
     SimplexPivot,
-    /// Branch-and-bound node expansion, serial or parallel (one hit per
-    /// node taken off a stack or deque).
+    /// Branch-and-bound node expansion: one hit per node a worker takes
+    /// off a deque and finds within budget, the root included. A stall or
+    /// spurious timeout stops the search as a limit; a panic is caught for
+    /// that node alone.
     NodeExpand,
-    /// Parallel worker startup (one hit per spawned worker).
+    /// Search worker startup: one hit per worker, before it takes any
+    /// node. That includes worker 0, which runs inline on the calling
+    /// thread at every thread count, so `threads = 1` hits it once per
+    /// solve.
     WorkerStart,
     /// Schedule extraction from an integral solution (one hit per
     /// extraction attempt).

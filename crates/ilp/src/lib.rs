@@ -36,7 +36,7 @@ mod export;
 mod factor;
 pub mod fault;
 mod model;
-mod parallel;
+mod search;
 mod simplex;
 mod solution;
 mod stop;

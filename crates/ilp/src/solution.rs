@@ -23,7 +23,7 @@ pub enum SolveError {
         /// Pivots performed by the stalled LP before it was abandoned.
         iterations: u64,
     },
-    /// A worker thread of the parallel search (or the portfolio's SAT
+    /// A worker of the branch-and-bound search (or the portfolio's SAT
     /// backend) panicked; the payload is the panic message.
     WorkerPanic(String),
 }
@@ -146,8 +146,8 @@ pub struct SolveStats {
     /// LP relaxations abandoned by the degenerate-pivot stall watchdog
     /// ([`LpStatus::Stalled`](crate::LpStatus)).
     pub stalled_lps: u64,
-    /// Worker panics caught and recovered by the parallel search (and the
-    /// scheduler's portfolio, around its SAT backend).
+    /// Worker panics caught and recovered by the branch-and-bound search
+    /// (and the scheduler's portfolio, around its SAT backend).
     pub panics_recovered: u64,
     /// Injections of the solve's [`FaultPlan`](crate::FaultPlan) that
     /// tripped during this solve (0 when no plan is armed).

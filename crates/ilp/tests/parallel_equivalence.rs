@@ -1,6 +1,6 @@
-//! Property-based equivalence between the serial branch-and-bound search and
-//! the work-stealing parallel search: at any thread count the parallel solver
-//! must report the same status and the same optimal objective, and a
+//! Property-based equivalence between one branch-and-bound worker and
+//! several: at any thread count the search must report the same status and
+//! the same optimal objective as the deterministic one-worker run, and a
 //! first-solution-only run must always return a feasible point.
 
 use optimod_ilp::{Model, RowSense, Sense, SolveLimits, SolveStatus};
@@ -82,7 +82,7 @@ fn limits_with(threads: u32, first_solution_only: bool) -> SolveLimits {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The work-stealing search agrees with the serial search on status and
+    /// Several workers agree with one worker on status and
     /// optimal objective value at 2, 4, and 8 worker threads.
     #[test]
     fn parallel_matches_serial(ip in random_ip()) {

@@ -113,8 +113,8 @@ impl NodeOutcome {
     }
 }
 
-/// One structured trace event. Worker `0` is the serial engine (or the
-/// calling thread); parallel workers report their own ids.
+/// One structured trace event. Worker `0` is the calling thread (the
+/// search's first worker); spawned workers report their own ids.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A branch-and-bound solve started.
@@ -200,8 +200,8 @@ pub enum TraceEvent {
     /// sites with a trace in scope report; pivot-loop fires surface through
     /// the fault plan's own log instead).
     FaultInjected {
-        /// Worker at which the fault fired (0 for the serial engine and
-        /// the scheduler's extraction site).
+        /// Worker at which the fault fired (0 for the calling thread,
+        /// including the scheduler's extraction site).
         worker: u32,
         /// Stable site name (`"simplex-pivot"`, `"node-expand"`,
         /// `"worker-start"`, `"extraction"`).

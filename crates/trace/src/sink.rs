@@ -9,11 +9,11 @@ use crate::report::SolveReport;
 
 /// Consumer of trace events.
 ///
-/// Sinks are shared across the parallel search's workers, so `record` takes
-/// `&self` and implementations must be `Send + Sync`. Events arrive in
-/// per-worker program order; across workers the interleaving follows the
-/// (monotonic) timestamps only approximately, since stamping and recording
-/// are not one atomic step.
+/// Sinks are shared across the branch-and-bound search's workers, so
+/// `record` takes `&self` and implementations must be `Send + Sync`. Events
+/// arrive in per-worker program order; across workers the interleaving
+/// follows the (monotonic) timestamps only approximately, since stamping
+/// and recording are not one atomic step.
 pub trait TraceSink: Send + Sync {
     /// Records one event with its offset from the trace epoch.
     fn record(&self, at: Duration, event: &TraceEvent);
