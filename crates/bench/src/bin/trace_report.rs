@@ -5,7 +5,7 @@
 //! the absorbed `SolveStats` totals per formulation.
 //!
 //! The per-loop solves are single-threaded, so the counters are the same
-//! ones `fig2_bb_nodes` and the tables report — the trace layer adds the
+//! ones `paper_tables` reports at the same limits — the trace layer adds the
 //! per-phase time and the *distribution* (p50/p90 skew) that flat totals
 //! cannot show.
 //!

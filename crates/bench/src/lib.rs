@@ -1,9 +1,10 @@
 //! Experiment harness for the PLDI'97 reproduction.
 //!
-//! Provides the shared machinery the per-table/per-figure binaries use:
-//! corpus selection, per-loop budgeting, the four schedulers in both
-//! formulations, and the paper's `min / freq / median / average / max`
-//! summary statistics (Tables 1 and 2).
+//! Provides the shared machinery the paper driver (`paper_tables`) and
+//! the other experiment binaries use: corpus selection, per-loop limits
+//! and which of them stopped a loop ([`Stop`]), the four schedulers in
+//! both formulations, and the paper's `min / freq / median / average /
+//! max` summary statistics (Tables 1 and 2).
 //!
 //! Environment knobs (read by [`ExperimentConfig::from_env`]; the
 //! `trace_overhead` gate uses the default configuration and honours only
@@ -18,7 +19,8 @@
 //! * `OPTIMOD_THREADS` — worker threads for the corpus driver (default:
 //!   all cores). The corpus is parallelized *across* loops while each
 //!   per-loop solve stays single-threaded, so node and iteration counts
-//!   are identical at any thread count.
+//!   are identical at any thread count for every loop the wall budget
+//!   does not stop.
 
 #![warn(missing_docs)]
 
@@ -201,6 +203,30 @@ impl ExperimentConfig {
             };
             (record, sink.report())
         })
+    }
+}
+
+/// The limit that stopped one loop's solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The node cap (`bb_nodes >= node_cap`), the same on every host.
+    Cap,
+    /// The wall-clock budget (`wall_time >= budget`), a safety net.
+    Net,
+}
+
+impl ExperimentConfig {
+    /// Which limit stopped `r`, if any; a loop that reached the cap
+    /// stopped there, whatever its wall time.
+    pub fn stop(&self, r: &LoopRecord) -> Option<Stop> {
+        let stats = &r.result.stats;
+        if stats.bb_nodes >= self.node_cap {
+            Some(Stop::Cap)
+        } else if stats.wall_time >= self.budget {
+            Some(Stop::Net)
+        } else {
+            None
+        }
     }
 }
 
@@ -557,24 +583,72 @@ mod tests {
     }
 
     #[test]
-    fn tiny_suite_runs_end_to_end() {
+    fn stop_classification() {
         let cfg = ExperimentConfig {
-            corpus: CorpusSize::Small,
-            budget: Duration::from_millis(300),
-            node_cap: 5_000,
-            threads: 2,
+            budget: Duration::from_millis(100),
+            node_cap: 50,
+            ..ExperimentConfig::default()
         };
-        let machine = cfg.machine();
-        let loops: Vec<_> = cfg.corpus_loops(&machine).into_iter().take(8).collect();
-        let recs = cfg.run_suite(
-            &machine,
-            &loops,
-            DepStyle::Structured,
-            Objective::FirstFeasible,
-        );
-        assert_eq!(recs.len(), 8);
-        assert!(recs.iter().any(|r| r.result.status.scheduled()));
-        let heur = run_heuristics(&machine, &loops);
-        assert_eq!(heur.len(), 8);
+        let record = |bb_nodes, wall_ms| LoopRecord {
+            name: "l".to_string(),
+            n_ops: 1,
+            result: LoopResult {
+                status: LoopStatus::TimedOut,
+                mii: optimod::Mii::default(),
+                ii: None,
+                schedule: None,
+                objective_value: None,
+                stats: SolveStats {
+                    bb_nodes,
+                    wall_time: Duration::from_millis(wall_ms),
+                    ..SolveStats::default()
+                },
+                provenance: None,
+                error: None,
+                explanation: None,
+            },
+        };
+        assert_eq!(cfg.stop(&record(49, 99)), None);
+        assert_eq!(cfg.stop(&record(50, 10)), Some(Stop::Cap));
+        assert_eq!(cfg.stop(&record(50, 100)), Some(Stop::Cap));
+        assert_eq!(cfg.stop(&record(49, 100)), Some(Stop::Net));
+    }
+
+    #[test]
+    fn tiny_suite_runs_end_to_end() {
+        // A budget the cap never lets the solver reach: effort is decided
+        // by node counts alone, so it must not depend on the thread count.
+        let counts = |threads| {
+            let cfg = ExperimentConfig {
+                corpus: CorpusSize::Small,
+                budget: Duration::from_secs(600),
+                node_cap: 5_000,
+                threads,
+            };
+            let machine = cfg.machine();
+            let loops: Vec<_> = cfg.corpus_loops(&machine).into_iter().take(8).collect();
+            let recs = cfg.run_suite(
+                &machine,
+                &loops,
+                DepStyle::Structured,
+                Objective::FirstFeasible,
+            );
+            assert_eq!(recs.len(), 8);
+            assert!(recs.iter().any(|r| r.result.status.scheduled()));
+            assert!(recs.iter().all(|r| cfg.stop(r) != Some(Stop::Net)));
+            assert_eq!(run_heuristics(&machine, &loops).len(), 8);
+            recs.iter()
+                .map(|r| {
+                    let s = &r.result.stats;
+                    (
+                        r.result.status,
+                        r.result.ii,
+                        s.bb_nodes,
+                        s.simplex_iterations,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(1), counts(2));
     }
 }

@@ -374,6 +374,8 @@ mod tests {
             ..Default::default()
         };
         let out = m.solve_with(limits);
+        // The cap counts nodes beyond the root, so the root LP still runs.
+        assert_eq!(out.stats.lp_solves, 1);
         // With zero nodes we may or may not have an incumbent; the status
         // must reflect that honestly.
         match out.status {

@@ -174,10 +174,12 @@ impl Shared<'_> {
         Some(obj)
     }
 
-    /// Budget check at node entry.
-    fn out_of_budget(&self) -> bool {
+    /// Budget check at entry to a node at `depth`. The node cap counts
+    /// nodes beyond the root, so the root LP always runs; the deadline
+    /// applies everywhere.
+    fn out_of_budget(&self, depth: u32) -> bool {
         if self.start.elapsed() >= self.limits.time_limit
-            || self.bb_nodes.load(Ordering::Relaxed) >= self.limits.node_limit
+            || (depth > 0 && self.bb_nodes.load(Ordering::Relaxed) >= self.limits.node_limit)
         {
             self.hit_limit();
             return true;
@@ -340,7 +342,7 @@ impl Worker {
     /// pair, its LP runs under the [`Phase::RootLp`] span, and its rounded
     /// bound becomes the search's best bound.
     fn expand(&mut self, shared: &Shared, node: &Node) {
-        if shared.out_of_budget() {
+        if shared.out_of_budget(node.depth) {
             return;
         }
         let trace = &shared.limits.trace;
