@@ -219,10 +219,12 @@ pub fn build_model(
         .map(|i| model.int_var(0.0, (num_stages - 1) as f64, format!("k[{i}]")))
         .collect();
 
-    // Assignment constraints (Eq. 1).
+    // Assignment constraints (Eq. 1), each declared as an ordered set in
+    // MRT-row order so that branch and bound splits an operation's rows
+    // "row < s" against "row >= s".
     for (i, rows) in a.iter().enumerate() {
         let before = model.num_constraints();
-        model.add_eq(rows.iter().map(|&v| (v, 1.0)), 1.0, format!("assign[{i}]"));
+        model.add_ordered_set(rows, format!("assign[{i}]"));
         model.tag_rows_from(before, RowTag::Assignment(i as u32));
     }
 

@@ -107,11 +107,9 @@ fn add_kill_nodes(built: &mut BuiltModel, l: &Loop, style: DepStyle) {
             kill_stage_bound(built, l, v) as f64,
             format!("kkill[{v}]"),
         );
-        built.model.add_eq(
-            rows.iter().map(|&x| (x, 1.0)),
-            1.0,
-            format!("kill-assign[{v}]"),
-        );
+        built
+            .model
+            .add_ordered_set(&rows, format!("kill-assign[{v}]"));
         // Kill at or after the definition.
         let d = vr.def.index();
         dependence::add_dependence(

@@ -8,6 +8,16 @@
 //! count directly reflects the tightness of the formulation — which is
 //! exactly the quantity the paper uses to compare formulations.
 //!
+//! One exception to the single-variable split, from the same era's codes:
+//! when the chosen variable belongs to an ordered set declared with
+//! [`Model::add_ordered_set`] (the paper's Eq. 1 rows, one per operation),
+//! the whole set is split in the manner of Beale & Tomlin's special ordered
+//! sets (1970). With `s` the first member at which the prefix of the LP
+//! values reaches one half, one child fixes every member `z >= s` to 0 and
+//! the other every member `z < s`; the side with more LP mass is explored
+//! first. Both children are upper-bound changes only, like a `x <= 0`
+//! branch, so warm starts and the search machinery are unchanged.
+//!
 //! The search itself lives in `search`: a work-stealing pool of workers,
 //! each owning a private [`Simplex`](crate::Simplex) workspace.
 //! [`SolveLimits::threads`] resolving to 1 runs it with one worker inline
@@ -41,6 +51,12 @@ pub(crate) fn lp_class(status: LpStatus) -> LpClass {
 }
 
 /// Rule for choosing the branching variable among fractional candidates.
+///
+/// The rule only picks the variable. If it is a member of an ordered set
+/// (see [`Model::add_ordered_set`]), the search splits that whole set at
+/// its LP median and explores the heavier side first, under every rule; the
+/// up/down preferences below apply to the other integer variables (the
+/// stages `k` and the MaxLive bound in the modulo scheduling models).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BranchRule {
     /// Variable whose LP value is closest to 0.5 away from integrality
@@ -93,6 +109,28 @@ pub(crate) fn choose_branch(
         }
     }
     branch
+}
+
+/// Where to split an ordered set at an LP point: the first member `s` at
+/// which the prefix sum of the LP values before it reaches one half,
+/// clamped so that both sides, members `z < s` and `z >= s`, keep some LP
+/// mass. Returns `s` and whether the low side holds at least as much mass
+/// as the high side (it is then explored first), or `None` when fewer than
+/// two members carry mass.
+pub(crate) fn ordered_split(members: &[VarId], values: &[f64]) -> Option<(usize, bool)> {
+    let x = |z: usize| values[members[z].index()];
+    let first = (0..members.len()).find(|&z| x(z) > INT_TOL)?;
+    let last = (0..members.len()).rev().find(|&z| x(z) > INT_TOL)?;
+    if first == last {
+        return None;
+    }
+    let (mut s, mut low) = (first + 1, x(first));
+    while s < last && low < 0.5 {
+        low += x(s);
+        s += 1;
+    }
+    let high: f64 = (s..=last).map(x).sum();
+    Some((s, low >= high))
 }
 
 /// Whether to explore the down (floor) child before the up (ceil) child.
@@ -540,5 +578,30 @@ mod tests {
         });
         assert_eq!(out.status, SolveStatus::Optimal);
         assert!(m.check_feasible(&out.values, 1e-6).is_none());
+    }
+
+    /// The split lands where the prefix before `s` first reaches one half,
+    /// and is clamped so that both sides carry LP mass.
+    #[test]
+    fn ordered_split_point() {
+        let vars: Vec<VarId> = (0..5).map(|i| VarId(i as u32)).collect();
+        // Prefix before member 2 is 0.5: split there, low side first on a tie.
+        assert_eq!(
+            ordered_split(&vars, &[0.2, 0.3, 0.1, 0.4, 0.0]),
+            Some((2, true))
+        );
+        // Prefix reaches one half only before the last member with mass:
+        // the high side keeps it.
+        assert_eq!(
+            ordered_split(&vars, &[0.1, 0.1, 0.1, 0.0, 0.7]),
+            Some((4, false))
+        );
+        // Mass only on members 3 and 4: the low side is clamped to keep 3.
+        assert_eq!(
+            ordered_split(&vars, &[0.0, 0.0, 0.0, 0.9, 0.1]),
+            Some((4, true))
+        );
+        // One member carries everything: nothing to split.
+        assert_eq!(ordered_split(&vars, &[0.0, 1.0, 0.0, 0.0, 0.0]), None);
     }
 }

@@ -980,21 +980,27 @@ struct Eta {
     stamp: u64,
     /// `1 / v_r`.
     inv_piv: f64,
-    /// `(i, v_i)` for `i ≠ r` with `|v_i|` above the skip tolerance.
-    others: Vec<(u32, f64)>,
+    /// This eta's range in the file's entry arrays: `(i, v_i)` for `i ≠ r`
+    /// with `|v_i|` above the skip tolerance.
+    start: usize,
+    end: usize,
 }
 
-/// Bounded product-form eta file layered on top of an [`LuFactor`].
+/// Bounded product-form eta file layered on top of an [`LuFactor`]. The
+/// off-pivot entries of all etas live in two flat arrays, eta after eta,
+/// so FTRAN and BTRAN stream through contiguous memory.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EtaFile {
     etas: Vec<Eta>,
-    nnz: usize,
+    index: Vec<u32>,
+    value: Vec<f64>,
 }
 
 impl EtaFile {
     pub(crate) fn clear(&mut self) {
         self.etas.clear();
-        self.nnz = 0;
+        self.index.clear();
+        self.value.clear();
     }
 
     /// Number of eta updates currently stacked on the base factor.
@@ -1010,8 +1016,10 @@ impl EtaFile {
 
     /// Drops every eta above the first `len`.
     fn truncate(&mut self, len: usize) {
-        for eta in self.etas.drain(len..) {
-            self.nnz -= eta.others.len();
+        if let Some(eta) = self.etas.get(len) {
+            self.index.truncate(eta.start);
+            self.value.truncate(eta.start);
+            self.etas.truncate(len);
         }
     }
 
@@ -1019,23 +1027,24 @@ impl EtaFile {
     /// surcharge per solve, and the quantity the refactorization cadence
     /// bounds.
     pub(crate) fn nnz(&self) -> usize {
-        self.nnz
+        self.index.len()
     }
 
     /// Records the pivot `(r, v)`; `v` is the dense transformed column.
     pub(crate) fn push(&mut self, r: usize, v: &[f64]) {
-        let others: Vec<(u32, f64)> = v
-            .iter()
-            .enumerate()
-            .filter(|&(i, &x)| i != r && x.abs() > ELIM_SKIP_TOL)
-            .map(|(i, &x)| (i as u32, x))
-            .collect();
-        self.nnz += others.len();
+        let start = self.index.len();
+        for (i, &x) in v.iter().enumerate() {
+            if i != r && x.abs() > ELIM_SKIP_TOL {
+                self.index.push(i as u32);
+                self.value.push(x);
+            }
+        }
         self.etas.push(Eta {
             r: r as u32,
             stamp: next_stamp(),
             inv_piv: 1.0 / v[r],
-            others,
+            start,
+            end: self.index.len(),
         });
     }
 
@@ -1046,7 +1055,8 @@ impl EtaFile {
             let zr = z[eta.r as usize] * eta.inv_piv;
             z[eta.r as usize] = zr;
             if zr != 0.0 {
-                for &(i, v) in &eta.others {
+                let range = eta.start..eta.end;
+                for (&i, &v) in self.index[range.clone()].iter().zip(&self.value[range]) {
                     z[i as usize] -= v * zr;
                 }
             }
@@ -1057,8 +1067,9 @@ impl EtaFile {
     /// `y ← E_1⁻ᵀ ⋯ E_k⁻ᵀ y`, all in basis-position coordinates.
     pub(crate) fn btran(&self, y: &mut [f64]) {
         for eta in self.etas.iter().rev() {
+            let range = eta.start..eta.end;
             let mut s = y[eta.r as usize];
-            for &(i, v) in &eta.others {
+            for (&i, &v) in self.index[range.clone()].iter().zip(&self.value[range]) {
                 s -= v * y[i as usize];
             }
             y[eta.r as usize] = s * eta.inv_piv;

@@ -307,6 +307,15 @@ pub(crate) struct RowDef {
     pub tag: RowTag,
 }
 
+/// An ordered assignment set: binaries of which exactly one is 1, in the
+/// order of their `Σ x = 1` row (see [`Model::add_ordered_set`]).
+#[derive(Debug, Clone)]
+pub(crate) struct SetDef {
+    /// Dense index of the set's `Σ x = 1` row.
+    pub row: u32,
+    pub members: Vec<VarId>,
+}
+
 /// Read-only view of one constraint row, as stored in a [`Model`].
 ///
 /// Obtained from [`Model::row`] / [`Model::rows`]; the coefficient slice is
@@ -343,6 +352,8 @@ pub struct Model {
     pub(crate) obj_sense: Sense,
     pub(crate) objective: Vec<(VarId, f64)>,
     pub(crate) obj_constant: f64,
+    /// Ordered assignment sets, each owning one row of `rows`.
+    pub(crate) sets: Vec<SetDef>,
 }
 
 impl Model {
@@ -485,6 +496,41 @@ impl Model {
         id
     }
 
+    /// Adds the row `Σ members = 1` over binary variables and declares
+    /// `members`, in the given order, as an ordered assignment set: exactly
+    /// one member is 1, and the order ranks them (the MRT row of the
+    /// paper's Eq. 1). Branch and bound splits a fractional set as a whole,
+    /// "member < s" against "member ≥ s", instead of one member at a time.
+    /// The set lives and dies with its row (see [`Model::retain_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is not a binary variable.
+    pub fn add_ordered_set(&mut self, members: &[VarId], name: impl Into<String>) -> ConstraintId {
+        for &v in members {
+            let d = &self.vars[v.index()];
+            assert!(
+                d.integer && d.lb >= 0.0 && d.ub <= 1.0,
+                "ordered-set member {} is not binary",
+                d.name
+            );
+        }
+        let id = self.add_eq(members.iter().map(|&v| (v, 1.0)), 1.0, name);
+        self.sets.push(SetDef {
+            row: id.0,
+            members: members.to_vec(),
+        });
+        id
+    }
+
+    /// Iterates over the declared ordered assignment sets: each set's
+    /// `Σ x = 1` row and its members in order.
+    pub fn ordered_sets(&self) -> impl Iterator<Item = (ConstraintId, &[VarId])> {
+        self.sets
+            .iter()
+            .map(|s| (ConstraintId(s.row), s.members.as_slice()))
+    }
+
     /// Records provenance for the rows added since index `start` (used by
     /// model builders to tag a just-emitted batch, e.g. all rows of one
     /// dependence edge).
@@ -566,13 +612,28 @@ impl Model {
     ///
     /// Intended for presolve-style row elimination. Any [`ConstraintId`]
     /// handed out before this call is invalidated (row indices are dense and
-    /// re-compacted); variables and their ids are untouched.
+    /// re-compacted); variables and their ids are untouched. An ordered
+    /// set whose row is dropped is dropped with it.
     pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let mut i = 0usize;
-        self.rows.retain(|_| {
-            let k = keep(i);
-            i += 1;
-            k
+        // new_index[i] is row i's index among the survivors, if it survives.
+        let mut kept = 0u32;
+        let new_index: Vec<Option<u32>> = (0..self.rows.len())
+            .map(|i| {
+                keep(i).then(|| {
+                    kept += 1;
+                    kept - 1
+                })
+            })
+            .collect();
+        let mut survives = new_index.iter().map(Option::is_some);
+        self.rows
+            .retain(|_| survives.next().expect("one entry per row"));
+        self.sets.retain_mut(|s| match new_index[s.row as usize] {
+            Some(r) => {
+                s.row = r;
+                true
+            }
+            None => false,
         });
     }
 

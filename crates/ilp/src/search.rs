@@ -53,7 +53,7 @@ use std::time::Instant;
 use optimod_trace::{NodeOutcome, Phase, TraceEvent};
 
 use crate::branch_bound::{
-    choose_branch, down_child_first, lp_class, tighten_integral_bound, SolveLimits,
+    choose_branch, down_child_first, lp_class, ordered_split, tighten_integral_bound, SolveLimits,
 };
 use crate::fault::{FaultAction, FaultSite};
 use crate::model::{Model, Sense, VarId};
@@ -70,6 +70,26 @@ struct PathStep {
     is_lb: bool,
     value: f64,
     parent: Option<Arc<PathStep>>,
+}
+
+/// Extends `parent` by the steps that zero every member of `members` whose
+/// upper bound in `ub` is still positive.
+fn zero_path(
+    members: &[VarId],
+    ub: &[f64],
+    parent: Option<Arc<PathStep>>,
+) -> Option<Arc<PathStep>> {
+    members
+        .iter()
+        .filter(|m| ub[m.index()] > 0.0)
+        .fold(parent, |parent, m| {
+            Some(Arc::new(PathStep {
+                j: m.index(),
+                is_lb: false,
+                value: 0.0,
+                parent,
+            }))
+        })
 }
 
 /// One open node.
@@ -97,6 +117,9 @@ struct Shared<'a> {
     minimize: bool,
     integral_objective: bool,
     int_vars: Vec<VarId>,
+    /// For each variable, the index of the first ordered set (in
+    /// `model.sets`) it belongs to.
+    set_of: Vec<Option<u32>>,
     root_lb: Vec<f64>,
     root_ub: Vec<f64>,
     /// External cutoff in minimize sense (+inf when unset).
@@ -481,41 +504,63 @@ impl Worker {
             return;
         };
 
-        // Branch: the down child tightens the upper bound to `floor`, the
-        // up child raises the lower bound to `floor + 1`.
+        // Branch. A member of an ordered set splits the whole set at `s`:
+        // one child zeroes the members `z >= s`, the other those `z < s`,
+        // and the side with more LP mass is explored first. Any other
+        // variable splits at its floor: the down child tightens the upper
+        // bound to `floor`, the up child raises the lower bound to
+        // `floor + 1`.
         let j = bv.index();
-        let floor = bx.floor();
-        // Defensive: an LP value outside the node bounds signals a
-        // numerical failure in the relaxation; branching would not shrink
-        // the domain and the search could loop forever.
-        if floor >= ub[j] || floor + 1.0 <= lb[j] {
-            debug_assert!(
-                false,
-                "LP value {bx} of {} escapes node bounds [{}, {}]",
-                shared.model.var_name(bv),
-                lb[j],
-                ub[j]
-            );
-            shared.hit_limit();
-            close(NodeOutcome::Limit);
-            return;
-        }
-        // This node's optimal basis warm-starts both children (one bound
-        // change away, so the parent basis stays dual feasible for them).
+        let split = shared.set_of[j].and_then(|k| {
+            let members = &shared.model.sets[k as usize].members;
+            ordered_split(members, &lp.values).map(|(s, low_first)| (members, s, low_first))
+        });
+        let (first, second) = if let Some((members, s, low_first)) = split {
+            let keep_low = zero_path(&members[s..], ub, node.path.clone());
+            let keep_high = zero_path(&members[..s], ub, node.path.clone());
+            if low_first {
+                (keep_low, keep_high)
+            } else {
+                (keep_high, keep_low)
+            }
+        } else {
+            let floor = bx.floor();
+            // Defensive: an LP value outside the node bounds signals a
+            // numerical failure in the relaxation; branching would not
+            // shrink the domain and the search could loop forever.
+            if floor >= ub[j] || floor + 1.0 <= lb[j] {
+                debug_assert!(
+                    false,
+                    "LP value {bx} of {} escapes node bounds [{}, {}]",
+                    shared.model.var_name(bv),
+                    lb[j],
+                    ub[j]
+                );
+                shared.hit_limit();
+                close(NodeOutcome::Limit);
+                return;
+            }
+            let step = |is_lb: bool| {
+                Some(Arc::new(PathStep {
+                    j,
+                    is_lb,
+                    value: if is_lb { floor + 1.0 } else { floor },
+                    parent: node.path.clone(),
+                }))
+            };
+            let down_first = down_child_first(rule, bx, floor);
+            (step(!down_first), step(down_first))
+        };
+        // This node's optimal basis warm-starts both children (pure bound
+        // changes, so the parent basis stays dual feasible for them).
         let warm = self.simplex.basis_snapshot().map(Arc::new);
-        let child = |is_lb: bool| Node {
-            path: Some(Arc::new(PathStep {
-                j,
-                is_lb,
-                value: if is_lb { floor + 1.0 } else { floor },
-                parent: node.path.clone(),
-            })),
+        let child = |path| Node {
+            path,
             depth: depth + 1,
             warm: warm.clone(),
         };
-        let down_first = down_child_first(rule, bx, floor);
         // The owner pops from the back: the first child is explored next.
-        shared.push(self.id, [child(down_first), child(!down_first)].into_iter());
+        shared.push(self.id, [child(second), child(first)].into_iter());
         close(NodeOutcome::Branched);
     }
 }
@@ -563,6 +608,12 @@ pub(crate) fn solve(
         .map(|i| VarId(i as u32))
         .filter(|v| model.is_integer(*v))
         .collect();
+    let mut set_of = vec![None; model.num_vars()];
+    for (k, set) in model.sets.iter().enumerate() {
+        for m in &set.members {
+            set_of[m.index()].get_or_insert(k as u32);
+        }
+    }
     let mut root_lb: Vec<f64> = model.vars.iter().map(|v| v.lb).collect();
     let mut root_ub: Vec<f64> = model.vars.iter().map(|v| v.ub).collect();
     // Tighten integer bounds to integral values up front.
@@ -590,6 +641,7 @@ pub(crate) fn solve(
         minimize,
         integral_objective: model.objective_is_integral(),
         int_vars,
+        set_of,
         root_lb,
         root_ub,
         cutoff_min: limits
@@ -659,5 +711,52 @@ fn finish(shared: Shared, mut stats: SolveStats) -> SolveOutcome {
         best_bound: shared.to_min(best_bound),
         stats,
         error,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replays `path` onto `ub` (a split only lowers upper bounds) and
+    /// returns its number of steps.
+    fn replay(path: &Option<Arc<PathStep>>, ub: &mut [f64]) -> usize {
+        let (mut step, mut len) = (path.as_ref(), 0);
+        while let Some(s) = step {
+            assert!(!s.is_lb);
+            ub[s.j] = ub[s.j].min(s.value);
+            step = s.parent.as_ref();
+            len += 1;
+        }
+        len
+    }
+
+    /// Each child of an ordered split zeroes a side that carries LP mass,
+    /// so neither child contains its parent's LP point; members already at
+    /// `ub = 0` add no step.
+    #[test]
+    fn both_children_of_a_split_exclude_the_parent_point() {
+        let members: Vec<VarId> = (0..6).map(|i| VarId(i as u32)).collect();
+        let points: [[f64; 6]; 4] = [
+            [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+            [0.25, 0.25, 0.25, 0.0, 0.25, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.3, 0.7],
+            [0.6, 0.0, 0.1, 0.0, 0.0, 0.3],
+        ];
+        for x in points {
+            let mut node_ub = [1.0; 6];
+            node_ub[3] = 0.0; // fixed by an earlier branch
+            let (s, _) = ordered_split(&members, &x).expect("two members carry mass");
+            let keep_low = zero_path(&members[s..], &node_ub, None);
+            let keep_high = zero_path(&members[..s], &node_ub, None);
+            for (child, zeroed) in [(&keep_low, s..6), (&keep_high, 0..s)] {
+                let mut ub = node_ub;
+                let len = replay(child, &mut ub);
+                let violated = members.iter().any(|m| x[m.index()] > ub[m.index()] + 1e-9);
+                assert!(violated, "{x:?}: a child keeps the parent point");
+                let open = zeroed.filter(|&z| node_ub[z] > 0.0).count();
+                assert_eq!(len, open, "{x:?}: one step per member still open");
+            }
+        }
     }
 }
