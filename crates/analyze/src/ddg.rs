@@ -7,42 +7,33 @@ use optimod_machine::{Machine, OpClass};
 
 use crate::lint::{Finding, LintCode};
 
-/// Tuning knobs for the DDG lint pass.
-#[derive(Debug, Clone)]
-pub struct DdgLintConfig {
-    /// MII ceiling above which [`LintCode::MiiOverflow`] fires. Callers
-    /// normally pass the scheduler's own ceiling
-    /// (`optimod::MAX_SCHEDULABLE_II`).
-    pub max_ii: u32,
-    /// Largest iteration distance for which edge-dominance paths are
-    /// searched; edges with larger distance are never reported redundant.
-    /// Bounds the per-edge longest-path DP.
-    pub max_redundancy_distance: u32,
-}
+/// Largest MII the scheduler will attempt to formulate. The ILP carries
+/// `II` row binaries per operation, so a pathological recurrence (huge
+/// validated latencies around a cycle) would otherwise demand an absurd
+/// allocation before the solver even starts. Above it [`lint_loop`]
+/// reports [`LintCode::MiiOverflow`] and the scheduler, which re-exports
+/// this constant as `optimod::MAX_SCHEDULABLE_II`, refuses the loop.
+pub const MAX_SCHEDULABLE_II: u32 = 1 << 16;
 
-impl Default for DdgLintConfig {
-    fn default() -> Self {
-        DdgLintConfig {
-            max_ii: 1 << 16,
-            max_redundancy_distance: 8,
-        }
-    }
-}
+/// Largest iteration distance for which [`lint_loop`] searches
+/// edge-dominance paths; edges with larger distance are never reported
+/// redundant. Bounds the per-edge longest-path DP.
+const REDUNDANCY_DISTANCE: u32 = 8;
 
 /// Runs every DDG lint over `l` and returns the findings in a stable order
 /// (by lint code, then by subject creation order).
 ///
 /// An invalid loop yields a single [`LintCode::InvalidLoop`] error finding;
 /// the structural lints only run on validated loops.
-pub fn lint_loop(l: &Loop, machine: &Machine, cfg: &DdgLintConfig) -> Vec<Finding> {
+pub fn lint_loop(l: &Loop, machine: &Machine) -> Vec<Finding> {
     if let Err(e) = l.validate() {
         return vec![Finding::new(LintCode::InvalidLoop, l.name(), e.to_string())];
     }
     let mut out = Vec::new();
-    redundant_edge_findings(l, cfg, &mut out);
+    redundant_edge_findings(l, &mut out);
     liveness_findings(l, &mut out);
     scc_findings(l, &mut out);
-    resource_findings(l, machine, cfg, &mut out);
+    resource_findings(l, machine, &mut out);
     out
 }
 
@@ -293,8 +284,8 @@ fn zero_distance_topo(l: &Loop) -> Option<Vec<usize>> {
     (order.len() == n).then_some(order)
 }
 
-fn redundant_edge_findings(l: &Loop, cfg: &DdgLintConfig, out: &mut Vec<Finding>) {
-    for ei in redundant_edges(l, cfg.max_redundancy_distance) {
+fn redundant_edge_findings(l: &Loop, out: &mut Vec<Finding>) {
+    for ei in redundant_edges(l, REDUNDANCY_DISTANCE) {
         let e = &l.edges()[ei];
         out.push(Finding::new(
             LintCode::RedundantEdge,
@@ -374,7 +365,7 @@ fn scc_findings(l: &Loop, out: &mut Vec<Finding>) {
     }
 }
 
-fn resource_findings(l: &Loop, machine: &Machine, cfg: &DdgLintConfig, out: &mut Vec<Finding>) {
+fn resource_findings(l: &Loop, machine: &Machine, out: &mut Vec<Finding>) {
     let mut demand = vec![0u64; machine.num_resources()];
     for op in l.ops() {
         for &(r, _) in machine.usages(op.class) {
@@ -410,13 +401,13 @@ fn resource_findings(l: &Loop, machine: &Machine, cfg: &DdgLintConfig, out: &mut
             }
         }
     }
-    if mii > cfg.max_ii {
+    if mii > MAX_SCHEDULABLE_II {
         out.push(Finding::new(
             LintCode::MiiOverflow,
             l.name().to_string(),
             format!(
                 "MII {} (ResMII {}, RecMII {}) exceeds the schedulable ceiling {}",
-                mii, res_mii, rec, cfg.max_ii
+                mii, res_mii, rec, MAX_SCHEDULABLE_II
             ),
         ));
     }
@@ -519,7 +510,7 @@ mod tests {
         b.flow(a, c, 0); // c's result goes nowhere
         b.flow(a, s, 0);
         let l = b.build(&m);
-        let fs = lint_loop(&l, &m, &DdgLintConfig::default());
+        let fs = lint_loop(&l, &m);
         assert!(fs
             .iter()
             .any(|f| f.code == LintCode::DeadValue && f.subject == "dead-add"));
@@ -535,7 +526,7 @@ mod tests {
         let x = b.op(OpClass::FAdd, "x");
         b.dep(x, x, 1 << 20, 1, optimod_ddg::DepKind::Control);
         let l = b.build(&m);
-        let fs = lint_loop(&l, &m, &DdgLintConfig::default());
+        let fs = lint_loop(&l, &m);
         assert!(fs.iter().any(|f| f.code == LintCode::MiiOverflow));
     }
 }

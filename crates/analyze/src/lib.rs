@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use optimod_analyze::{lint_loop, DdgLintConfig, LintCode};
+//! use optimod_analyze::{lint_loop, LintCode};
 //! use optimod_ddg::{DepKind, LoopBuilder};
 //! use optimod_machine::{example_3fu, OpClass};
 //!
@@ -43,7 +43,7 @@
 //! b.flow(add, st, 0);
 //! b.dep(ld, st, 1, 0, DepKind::Memory); // implied by ld->add->st
 //! let l = b.build(&machine);
-//! let findings = lint_loop(&l, &machine, &DdgLintConfig::default());
+//! let findings = lint_loop(&l, &machine);
 //! assert!(findings.iter().any(|f| f.code == LintCode::RedundantEdge));
 //! ```
 
@@ -55,7 +55,7 @@ mod explain;
 mod lint;
 mod presolve;
 
-pub use ddg::{lint_loop, redundant_edges, scc_rec_mii, sccs, DdgLintConfig};
+pub use ddg::{lint_loop, redundant_edges, scc_rec_mii, sccs, MAX_SCHEDULABLE_II};
 pub use explain::{
     cross_link_conflicts, explain_infeasible, ExplainOptions, ExplainOutcome, Explanation,
 };

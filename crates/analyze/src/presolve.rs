@@ -50,30 +50,15 @@ pub struct IlpContext<'a> {
     pub k: &'a [VarId],
 }
 
-/// Options controlling which reductions run and what they report.
-#[derive(Debug, Clone, Copy)]
+/// What a presolve run reports. Every reduction always runs: stage-bound
+/// tightening from ASAP/ALAP windows, MRT binary fixing outside narrow
+/// cyclic windows, then redundant-row elimination.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PresolveOptions {
-    /// Tighten stage-variable bounds from ASAP/ALAP windows.
-    pub tighten_stage_bounds: bool,
-    /// Fix MRT binaries outside narrow cyclic windows.
-    pub fix_binaries: bool,
-    /// Drop rows whose activity bounds prove them redundant.
-    pub eliminate_rows: bool,
     /// Collect per-reduction [`Finding`]s (`OM101..OM104`). The scheduler's
     /// hot path leaves this off and reads only the counters; lint mode
     /// turns it on.
     pub collect_findings: bool,
-}
-
-impl Default for PresolveOptions {
-    fn default() -> Self {
-        PresolveOptions {
-            tighten_stage_bounds: true,
-            fix_binaries: true,
-            eliminate_rows: true,
-            collect_findings: false,
-        }
-    }
 }
 
 /// What one presolve run did to one model.
@@ -133,15 +118,9 @@ pub fn presolve(
         // rejects this case before building a model.
         return s;
     };
-    if opts.tighten_stage_bounds {
-        tighten_stage_bounds(model, ctx, &windows, opts, &mut s);
-    }
-    if opts.fix_binaries {
-        fix_window_binaries(model, l, ctx, &windows, opts, &mut s);
-    }
-    if opts.eliminate_rows {
-        eliminate_redundant_rows(model, opts, &mut s);
-    }
+    tighten_stage_bounds(model, ctx, &windows, opts, &mut s);
+    fix_window_binaries(model, l, ctx, &windows, opts, &mut s);
+    eliminate_redundant_rows(model, opts, &mut s);
     if opts.collect_findings {
         s.findings.extend(detect_cliques(model));
     }
@@ -488,7 +467,6 @@ mod tests {
         };
         let opts = PresolveOptions {
             collect_findings: true,
-            ..PresolveOptions::default()
         };
         let s = presolve(&mut model, &l, &ctx, &opts);
         // Only the slack row can be proven redundant; both assignment rows

@@ -6,6 +6,10 @@
 //! MRT — the gap the MICRO-28 heuristics paper closes with smarter stage
 //! placement.
 //!
+//! Each stage ILP runs on one thread, so under the node cap
+//! (`OPTIMOD_NODE_CAP`) its effort and result repeat on every host; the
+//! wall budget (`OPTIMOD_BUDGET_MS`) is only a safety net.
+//!
 //! Run: `cargo run --release -p optimod-bench --bin ablation_stage_ilp`
 
 use optimod::heuristic::optimal_stages;
@@ -18,8 +22,9 @@ fn main() {
     let machine = cfg.machine();
     let loops: Vec<_> = cfg.corpus_loops(&machine).into_iter().take(48).collect();
     println!(
-        "Stage-assignment ablation — {} loops, {} ms/loop\n",
+        "Stage-assignment ablation — {} loops, node cap {} per loop, safety net {} ms per loop\n",
         loops.len(),
+        cfg.node_cap,
         cfg.budget.as_millis()
     );
     let heur = run_heuristics(&machine, &loops);
@@ -31,6 +36,7 @@ fn main() {
         let limits = SolveLimits {
             time_limit: cfg.budget,
             node_limit: cfg.node_cap,
+            threads: 1,
             ..Default::default()
         };
         let Some((opt, _)) =

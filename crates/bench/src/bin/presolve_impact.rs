@@ -9,18 +9,10 @@
 //! differs between the two modes (which would mean presolve is unsound).
 //!
 //! Run: `cargo run --release -p optimod-bench --bin presolve_impact`
-//!
-//! Environment knobs (for attribution experiments):
-//!
-//! * `OPTIMOD_PRESOLVE_NO_TIGHTEN=1` — disable stage-bound tightening.
-//! * `OPTIMOD_PRESOLVE_NO_FIX=1` — disable window binary fixing.
-//! * `OPTIMOD_PRESOLVE_NO_ROWS=1` — disable redundant-row elimination.
 
 use std::time::Duration;
 
-use optimod::{
-    DepStyle, LoopStatus, Objective, OptimalScheduler, PresolveOptions, SchedulerConfig,
-};
+use optimod::{DepStyle, LoopStatus, Objective, OptimalScheduler, SchedulerConfig};
 use optimod_ddg::{kernels, Loop};
 use optimod_machine::{example_3fu, Machine};
 
@@ -40,21 +32,11 @@ fn golden_loops(machine: &Machine) -> Vec<Loop> {
     ]
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v == "1")
-}
-
 fn scheduler(style: DepStyle, presolve: bool) -> OptimalScheduler {
     let mut cfg = SchedulerConfig::new(style, Objective::MinMaxLive)
         .with_time_limit(Duration::from_secs(120));
     cfg.limits.threads = 1;
     cfg.presolve = presolve;
-    cfg.presolve_options = PresolveOptions {
-        tighten_stage_bounds: !env_flag("OPTIMOD_PRESOLVE_NO_TIGHTEN"),
-        fix_binaries: !env_flag("OPTIMOD_PRESOLVE_NO_FIX"),
-        eliminate_rows: !env_flag("OPTIMOD_PRESOLVE_NO_ROWS"),
-        collect_findings: false,
-    };
     OptimalScheduler::new(cfg)
 }
 

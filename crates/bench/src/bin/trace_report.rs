@@ -1,5 +1,6 @@
 //! Trace-derived observability report: runs the MinReg scheduler over the
-//! corpus under both formulations with a per-loop [`MemorySink`] attached,
+//! corpus under both formulations with a per-loop
+//! [`MemorySink`](optimod_trace::MemorySink) attached,
 //! prints percentile tables (per-phase wall clock from the traces,
 //! branch-and-bound and LP counters from each loop's `SolveStats`), and
 //! the absorbed `SolveStats` totals per formulation.

@@ -101,7 +101,7 @@ use optimod::{
     FormulationConfig, LoopStatus, Objective, OptimalScheduler, PresolveOptions, Provenance,
     SchedulerConfig, MAX_SCHEDULABLE_II,
 };
-use optimod_analyze::{lint_loop, max_severity, DdgLintConfig, Finding, LintCode, Severity};
+use optimod_analyze::{lint_loop, max_severity, Finding, LintCode, Severity};
 use optimod_daemon::client as daemon_client;
 use optimod_daemon::{
     ClientConfig as DaemonClientConfig, ClientError, ErrorCode, Request as DaemonRequest,
@@ -345,7 +345,7 @@ fn formulation(opts: &Options, objective: Objective) -> FormulationConfig {
 /// clone of the model built at the MII (the lint path never mutates
 /// anything the scheduler will later solve).
 fn analyze_findings(l: &Loop, machine: &Machine, opts: &Options) -> Vec<Finding> {
-    let mut findings = lint_loop(l, machine, &DdgLintConfig::default());
+    let mut findings = lint_loop(l, machine);
     if max_severity(&findings) == Some(Severity::Error) {
         return findings; // invalid loop or MII overflow: no model to presolve
     }
@@ -357,7 +357,6 @@ fn analyze_findings(l: &Loop, machine: &Machine, opts: &Options) -> Vec<Finding>
         let mut model = built.model.clone();
         let popts = PresolveOptions {
             collect_findings: true,
-            ..PresolveOptions::default()
         };
         let summary = optimod_analyze::presolve(&mut model, l, &built.analyzer_context(), &popts);
         findings.extend(summary.findings);
@@ -611,7 +610,6 @@ fn report_explanation(
         let mut model = built.model.clone();
         let popts = PresolveOptions {
             collect_findings: true,
-            ..PresolveOptions::default()
         };
         let summary = optimod_analyze::presolve(&mut model, l, &built.analyzer_context(), &popts);
         let mut cliques: Vec<Finding> = summary

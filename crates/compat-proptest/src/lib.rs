@@ -225,7 +225,7 @@ impl_tuple_strategy!(A, B, C, D, E, F, G, H);
 pub mod collection {
     use super::*;
 
-    /// Admissible length specifications for [`vec`].
+    /// Admissible length specifications for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

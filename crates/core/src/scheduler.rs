@@ -25,12 +25,10 @@ use crate::mii::{compute_mii, Mii};
 use crate::portfolio::PortfolioOutcome;
 use crate::schedule::Schedule;
 
-/// Largest MII the scheduler will attempt to formulate. The ILP carries
-/// `II` row binaries per operation, so a pathological recurrence (huge
-/// validated latencies around a cycle) would otherwise demand an absurd
-/// allocation before the solver even starts. Loops whose MII exceeds this
-/// yield [`LoopStatus::Invalid`] with [`ScheduleError::MiiOverflow`].
-pub const MAX_SCHEDULABLE_II: u32 = 1 << 16;
+/// Loops whose MII exceeds this yield [`LoopStatus::Invalid`] with
+/// [`ScheduleError::MiiOverflow`]; the analyzer's MII-overflow lint reads
+/// the same constant.
+pub use optimod_analyze::MAX_SCHEDULABLE_II;
 
 /// Our objectives are all integral; strip float noise from the simplex.
 fn round_integral(v: f64) -> f64 {

@@ -10,6 +10,7 @@ use optimod::{build_model, DepStyle, FormulationConfig, Objective, Schedule};
 use optimod_ddg::{DepKind, Loop, LoopBuilder};
 use optimod_ilp::{FaultAction, FaultPlan, FaultSite, SolveLimits, SolveStatus};
 use optimod_machine::{Machine, MachineBuilder, OpClass};
+use optimod_sat::{encode, EncodeOptions, SatLimits, SatOutcome, SlotDomains};
 
 /// A machine with a shared single-slot bus at offset 1, so resource
 /// conflicts appear across rows (stressing the `(r - c) mod II` wrap).
@@ -267,4 +268,70 @@ fn a_stop_at_any_node_is_never_an_infeasibility_proof() {
         }
     }
     assert!(capped_cells > 0, "no LP-feasible, integer-infeasible cell");
+}
+
+/// The SAT backend's counterpart of the test above: an interrupted CDCL
+/// search is `Unknown`, never an unsatisfiability proof. Each tiny loop is
+/// encoded at every II the ILP formulates, over the same stage window and
+/// with unrestricted slot domains. A stall or spurious timeout is injected
+/// at the nth hit of each SAT site, for nth = 1, 2, ... until a run no
+/// longer fires: `Unsat` may only come from a run in which nothing fired,
+/// and never where the enumeration finds a schedule.
+#[test]
+fn an_interrupted_sat_search_is_never_an_unsat_proof() {
+    let machine = bus_machine();
+    let cfg = FormulationConfig {
+        dep_style: DepStyle::Structured,
+        objective: Objective::FirstFeasible,
+        sched_len_slack: 4,
+        max_live_limit: None,
+    };
+    let (mut cells, mut fired_runs) = (0, 0);
+    for l in tiny_loops(&machine) {
+        for ii in 1..=4u32 {
+            let Some(built) = build_model(&l, &machine, ii, &cfg) else {
+                continue;
+            };
+            let window = built.num_stages * ii as i64;
+            let has_schedule = brute_force(&l, &machine, ii, window).is_some();
+            let domains = SlotDomains::unrestricted(l.num_ops(), ii, built.num_stages);
+            let enc = encode(&l, &machine, ii, &domains, &EncodeOptions::default());
+            let (clean, _) = optimod_sat::solve(&enc.cnf, &SatLimits::default());
+            assert_eq!(
+                matches!(clean, SatOutcome::Sat(_)),
+                has_schedule,
+                "{} II={ii}: clean SAT run says {}",
+                l.name(),
+                clean.name()
+            );
+            cells += 1;
+            for site in FaultSite::SAT {
+                for action in [FaultAction::Stall, FaultAction::SpuriousTimeout] {
+                    for nth in 1.. {
+                        let plan = FaultPlan::single(site, action, nth);
+                        let limits = SatLimits {
+                            fault: plan.clone(),
+                            ..SatLimits::default()
+                        };
+                        let (out, _) = optimod_sat::solve(&enc.cnf, &limits);
+                        let cell = format!("{} II={ii} {site:?} {action:?}@{nth}", l.name());
+                        if plan.fired_count() == 0 {
+                            assert!(
+                                out != SatOutcome::Unsat || !has_schedule,
+                                "{cell}: Unsat with a schedule"
+                            );
+                            break;
+                        }
+                        fired_runs += 1;
+                        assert_ne!(
+                            out,
+                            SatOutcome::Unsat,
+                            "{cell}: an interrupted search reported unsat"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(cells > 0 && fired_runs > 0, "no cell exercised a SAT fault");
 }

@@ -50,65 +50,17 @@ pub(crate) fn lp_class(status: LpStatus) -> LpClass {
     }
 }
 
-/// Rule for choosing the branching variable among fractional candidates.
-///
-/// The rule only picks the variable. If it is a member of an ordered set
-/// (see [`Model::add_ordered_set`]), the search splits that whole set at
-/// its LP median and explores the heavier side first, under every rule; the
-/// up/down preferences below apply to the other integer variables (the
-/// stages `k` and the MaxLive bound in the modulo scheduling models).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// Variable whose LP value is closest to 0.5 away from integrality
-    /// (most fractional); dive toward the nearest integer first.
-    MostFractional,
-    /// First fractional variable in index order. The default: on the
-    /// modulo scheduling formulations, index order follows the operations,
-    /// so the search fixes the schedule one operation at a time — measured
-    /// several times faster than most-fractional on both formulations (see
-    /// the `ablation_branching` benchmark).
-    #[default]
-    FirstFractional,
-    /// Most fractional, but always explore the *up* (ceil) child first —
-    /// effective on assignment-style binaries where setting a variable to 1
-    /// carries the information.
-    MostFractionalUp,
-    /// Prefer the fractional variable with the highest index (stages and
-    /// kill variables are created after the row binaries in the modulo
-    /// scheduling formulations), exploring the up child first.
-    HighestIndexUp,
-}
-
-/// Picks the branching variable under `rule` from the fractional integer
-/// variables of an LP point.
-pub(crate) fn choose_branch(
-    rule: BranchRule,
-    int_vars: &[VarId],
-    values: &[f64],
-) -> Option<(VarId, f64)> {
-    let mut branch: Option<(VarId, f64)> = None;
-    let mut best_frac = 0.0;
-    for &v in int_vars {
-        let x = values[v.index()];
-        let frac = (x - x.round()).abs();
-        if frac > INT_TOL {
-            match rule {
-                BranchRule::FirstFractional => return Some((v, x)),
-                BranchRule::HighestIndexUp => {
-                    branch = Some((v, x)); // int_vars is index-ordered
-                }
-                BranchRule::MostFractional | BranchRule::MostFractionalUp => {
-                    let dist = (x - x.floor() - 0.5).abs(); // 0 = most fractional
-                    let score = 0.5 - dist;
-                    if branch.is_none() || score > best_frac {
-                        best_frac = score;
-                        branch = Some((v, x));
-                    }
-                }
-            }
-        }
-    }
-    branch
+/// The branching variable of an LP point: the first fractional integer
+/// variable in index order. On the modulo scheduling formulations index
+/// order follows the operations, so the search fixes the schedule one
+/// operation at a time; if the variable is a member of an ordered set (see
+/// [`Model::add_ordered_set`]) the search splits that whole set at its LP
+/// median, otherwise it explores the nearer integer first.
+pub(crate) fn first_fractional(int_vars: &[VarId], values: &[f64]) -> Option<(VarId, f64)> {
+    int_vars
+        .iter()
+        .map(|&v| (v, values[v.index()]))
+        .find(|&(_, x)| (x - x.round()).abs() > INT_TOL)
 }
 
 /// Where to split an ordered set at an LP point: the first member `s` at
@@ -133,14 +85,6 @@ pub(crate) fn ordered_split(members: &[VarId], values: &[f64]) -> Option<(usize,
     Some((s, low >= high))
 }
 
-/// Whether to explore the down (floor) child before the up (ceil) child.
-pub(crate) fn down_child_first(rule: BranchRule, bx: f64, floor: f64) -> bool {
-    match rule {
-        BranchRule::MostFractionalUp | BranchRule::HighestIndexUp => false,
-        _ => bx - floor <= 0.5,
-    }
-}
-
 /// Rounds an LP bound up to the next representable objective value when the
 /// objective is integral over integer solutions.
 #[inline]
@@ -158,18 +102,10 @@ pub struct SolveLimits {
     pub time_limit: Duration,
     /// Maximum number of branch-and-bound nodes (beyond the root).
     pub node_limit: u64,
-    /// Branching rule.
-    pub branch_rule: BranchRule,
     /// Stop at the first integral solution instead of proving optimality.
     /// This is what the paper's NoObj scheduler does ("simply returns the
     /// first schedule that it finds").
     pub first_solution_only: bool,
-    /// Known-achievable objective value (in the model's sense), e.g. from a
-    /// heuristic solution. The search prunes every subtree that cannot
-    /// *strictly* beat it, so an [`SolveStatus::Infeasible`] outcome under
-    /// a cutoff means "nothing better than the cutoff exists" — the caller
-    /// already holds a solution attaining it.
-    pub cutoff: Option<f64>,
     /// Worker threads for the search. `1` (the experiments' setting) runs
     /// one worker on the calling thread, in deterministic DFS order;
     /// `n > 1` adds `n - 1` spawned work-stealing workers; `0` resolves
@@ -197,9 +133,7 @@ impl Default for SolveLimits {
         SolveLimits {
             time_limit: Duration::from_secs(900),
             node_limit: 1_000_000,
-            branch_rule: BranchRule::default(),
             first_solution_only: false,
-            cutoff: None,
             threads: 0,
             stop: StopFlag::new(),
             trace: Trace::disabled(),

@@ -42,7 +42,7 @@ mod solution;
 mod stop;
 pub mod tol;
 
-pub use branch_bound::{BranchRule, SolveLimits, Solver};
+pub use branch_bound::{SolveLimits, Solver};
 pub use export::lp_format;
 pub use fault::{FaultAction, FaultPlan, FaultSite, Injection};
 pub use model::{ConstraintId, LinExpr, Model, RowSense, RowTag, RowView, Sense, VarId};

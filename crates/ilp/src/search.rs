@@ -53,7 +53,7 @@ use std::time::Instant;
 use optimod_trace::{NodeOutcome, Phase, TraceEvent};
 
 use crate::branch_bound::{
-    choose_branch, down_child_first, lp_class, ordered_split, tighten_integral_bound, SolveLimits,
+    first_fractional, lp_class, ordered_split, tighten_integral_bound, SolveLimits,
 };
 use crate::fault::{FaultAction, FaultSite};
 use crate::model::{Model, Sense, VarId};
@@ -122,8 +122,6 @@ struct Shared<'a> {
     set_of: Vec<Option<u32>>,
     root_lb: Vec<f64>,
     root_ub: Vec<f64>,
-    /// External cutoff in minimize sense (+inf when unset).
-    cutoff_min: f64,
     /// Per-worker deques; worker `i` owns `queues[i]`.
     queues: Vec<Mutex<VecDeque<Node>>>,
     /// Nodes queued or currently being expanded.
@@ -161,7 +159,7 @@ impl Shared<'_> {
 
     /// Current pruning threshold in minimize sense.
     fn threshold(&self) -> f64 {
-        f64::from_bits(self.incumbent_bits.load(Ordering::Acquire)).min(self.cutoff_min)
+        f64::from_bits(self.incumbent_bits.load(Ordering::Acquire))
     }
 
     fn hit_limit(&self) {
@@ -184,7 +182,7 @@ impl Shared<'_> {
     fn offer_incumbent(&self, obj_min: f64, values: Vec<f64>) -> Option<f64> {
         let mut guard = self.incumbent.lock().expect("incumbent lock poisoned");
         let current = guard.as_ref().map_or(f64::INFINITY, |(o, _)| *o);
-        if obj_min >= current.min(self.cutoff_min) - PRUNE_TOL {
+        if obj_min >= current - PRUNE_TOL {
             return None;
         }
         let obj = if self.limits.fault.take_incumbent_perturbation() {
@@ -483,11 +481,10 @@ impl Worker {
         }
         if bound >= shared.threshold() - PRUNE_TOL {
             close(NodeOutcome::PrunedBound);
-            return; // pruned by incumbent or external cutoff
+            return; // pruned by the incumbent
         }
 
-        let rule = shared.limits.branch_rule;
-        let Some((bv, bx)) = choose_branch(rule, &shared.int_vars, &lp.values) else {
+        let Some((bv, bx)) = first_fractional(&shared.int_vars, &lp.values) else {
             // Integral solution.
             if let Some(obj) = shared.offer_incumbent(shared.to_min(lp.objective), lp.values) {
                 self.stats.incumbents += 1;
@@ -548,7 +545,7 @@ impl Worker {
                     parent: node.path.clone(),
                 }))
             };
-            let down_first = down_child_first(rule, bx, floor);
+            let down_first = bx - floor <= 0.5;
             (step(!down_first), step(down_first))
         };
         // This node's optimal basis warm-starts both children (pure bound
@@ -644,9 +641,6 @@ pub(crate) fn solve(
         set_of,
         root_lb,
         root_ub,
-        cutoff_min: limits
-            .cutoff
-            .map_or(f64::INFINITY, |c| if minimize { c } else { -c }),
         queues: (0..threads).map(|_| Mutex::default()).collect(),
         pending: AtomicUsize::new(0),
         incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),

@@ -655,15 +655,16 @@ pub fn solve_with_assumptions(
     limits: &SatLimits,
 ) -> (AssumeOutcome, SolveStats) {
     let mut s = Solver::new(cnf, limits);
-    for clause in cnf.clauses() {
-        if !s.add_clause(clause) {
-            return (AssumeOutcome::Unsat(Vec::new()), s.stats);
-        }
-    }
-    if s.interrupted {
-        return (AssumeOutcome::Unknown, s.stats);
-    }
-    let outcome = s.search(assumptions);
+    let installed = cnf.clauses().iter().all(|clause| s.add_clause(clause));
+    // An interrupted solve gives no verdict, even when the level-0
+    // propagation it left half done already falsified a clause.
+    let outcome = if s.interrupted {
+        AssumeOutcome::Unknown
+    } else if !installed {
+        AssumeOutcome::Unsat(Vec::new())
+    } else {
+        s.search(assumptions)
+    };
     (outcome, s.stats)
 }
 
@@ -686,6 +687,25 @@ mod tests {
         cnf.add_clause(vec![Lit::neg(v)]);
         let (out, _) = solve(&cnf, &quick());
         assert_eq!(out, SatOutcome::Unsat);
+    }
+
+    /// A stall injected while the unit clauses are installed interrupts
+    /// the solve: `Unknown`, although the next unit clause is already
+    /// falsified at level 0.
+    #[test]
+    fn a_stall_during_clause_installation_is_not_unsat() {
+        let mut cnf = Cnf::new();
+        let v = cnf.new_var();
+        cnf.add_clause(vec![Lit::pos(v)]);
+        cnf.add_clause(vec![Lit::neg(v)]);
+        let plan = FaultPlan::single(FaultSite::SatPropagate, FaultAction::Stall, 1);
+        let limits = SatLimits {
+            fault: plan.clone(),
+            ..quick()
+        };
+        assert_eq!(solve(&cnf, &limits).0, SatOutcome::Unknown);
+        assert_eq!(plan.fired_count(), 1);
+        assert_eq!(solve(&cnf, &quick()).0, SatOutcome::Unsat);
     }
 
     #[test]

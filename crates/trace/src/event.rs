@@ -85,7 +85,7 @@ impl LpClass {
 /// How a branch-and-bound node's expansion ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeOutcome {
-    /// The relaxation could not beat the incumbent (or external cutoff).
+    /// The relaxation could not beat the incumbent.
     PrunedBound,
     /// The relaxation was infeasible; the subtree is dead.
     Infeasible,

@@ -19,6 +19,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# Broken intra-doc links (say, to a renamed or deleted item) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 

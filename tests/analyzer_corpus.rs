@@ -9,8 +9,8 @@ use std::collections::BTreeSet;
 
 use optimod_suite::optimod::{build_model, compute_mii, DepStyle, FormulationConfig, Objective};
 use optimod_suite::optimod_analyze::{
-    explain_infeasible, lint_loop, max_severity, presolve, DdgLintConfig, ExplainOptions,
-    ExplainOutcome, Finding, LintCode, PresolveOptions, Severity,
+    explain_infeasible, lint_loop, max_severity, presolve, ExplainOptions, ExplainOutcome, Finding,
+    LintCode, PresolveOptions, Severity,
 };
 use optimod_suite::optimod_ddg::{DepKind, Loop, LoopBuilder};
 use optimod_suite::optimod_machine::{example_3fu, OpClass};
@@ -33,7 +33,6 @@ fn presolve_at(
     let mut model = built.model.clone();
     let opts = PresolveOptions {
         collect_findings: true,
-        ..PresolveOptions::default()
     };
     presolve(&mut model, l, &built.analyzer_context(), &opts)
 }
@@ -41,7 +40,7 @@ fn presolve_at(
 /// DDG-level findings for one loop under the default lint config.
 fn lint(b: &LoopBuilder) -> Vec<Finding> {
     let machine = example_3fu();
-    lint_loop(&b.build(&machine), &machine, &DdgLintConfig::default())
+    lint_loop(&b.build(&machine), &machine)
 }
 
 #[test]
@@ -61,7 +60,7 @@ fn crafted_corpus_fires_every_lint_code() {
     b.dep(x, y, 1, 0, DepKind::Control);
     b.dep(y, x, 1, 0, DepKind::Control);
     let invalid = b.build_unchecked(&machine);
-    let findings = lint_loop(&invalid, &machine, &DdgLintConfig::default());
+    let findings = lint_loop(&invalid, &machine);
     assert_eq!(max_severity(&findings), Some(Severity::Error));
     record(&findings);
 
