@@ -407,9 +407,15 @@ impl LuFactor {
 /// Sentinel "no index" of a [`CountLists`] link.
 const NIL: u32 = u32::MAX;
 
+/// Counts from this one up share the last bucket of a [`CountLists`]: the
+/// pivot search seldom looks that far, and a long row or column that loses
+/// entries one by one then stays where it is.
+const BUCKETS: usize = 8;
+
 /// Indices bucketed by a count (active rows by degree, active columns by
 /// count) as doubly linked lists: insert, remove and re-bucket are O(1),
-/// and the pivot search walks one bucket at a time.
+/// and the pivot search walks one bucket at a time. Counts of [`BUCKETS`]
+/// and more share the last bucket.
 #[derive(Debug, Default)]
 struct CountLists {
     /// First index of each bucket, `NIL` when empty.
@@ -423,7 +429,7 @@ struct CountLists {
 impl CountLists {
     fn reset(&mut self, n: usize) {
         self.head.clear();
-        self.head.resize(n + 1, NIL);
+        self.head.resize(BUCKETS + 1, NIL);
         self.next.clear();
         self.next.resize(n, NIL);
         self.prev.clear();
@@ -433,6 +439,7 @@ impl CountLists {
     }
 
     fn insert(&mut self, i: usize, count: u32) {
+        let count = count.min(BUCKETS as u32);
         let h = self.head[count as usize];
         self.count[i] = count;
         self.prev[i] = NIL;
@@ -456,32 +463,21 @@ impl CountLists {
     }
 
     fn refile(&mut self, i: usize, count: u32) {
-        if self.count[i] != count {
+        if self.count[i] != count.min(BUCKETS as u32) {
             self.remove(i);
             self.insert(i, count);
         }
-    }
-
-    /// The indices filed under `count`, in no particular order.
-    fn bucket(&self, count: usize) -> impl Iterator<Item = usize> + '_ {
-        let mut i = self.head[count];
-        std::iter::from_fn(move || {
-            (i != NIL).then(|| {
-                let cur = i as usize;
-                i = self.next[cur];
-                cur
-            })
-        })
     }
 }
 
 /// Heap key of a singleton entry: the smallest key is the tie-break
 /// winner, larger `|a|` first (`|a|` is non-negative, so its bit pattern
-/// orders like its value), then smaller row, then smaller column.
-type SingletonKey = Reverse<(u64, u32, u32)>;
+/// orders like its value), then smaller row, then smaller column, packed
+/// into one integer in that order.
+type SingletonKey = Reverse<u128>;
 
-fn singleton_key(i: usize, q: usize, a: f64) -> SingletonKey {
-    Reverse((!a.abs().to_bits(), i as u32, q as u32))
+fn singleton_key(i: usize, q: usize, abs: f64) -> SingletonKey {
+    Reverse((u128::from(!abs.to_bits()) << 64) | (i as u128) << 32 | q as u128)
 }
 
 /// Threshold test of a pivot candidate, written as the reference scan
@@ -490,11 +486,14 @@ fn eligible(abs: f64, col_max: f64) -> bool {
     !(abs < SINGULAR_TOL || abs < LU_PIVOT_REL * col_max)
 }
 
+/// The position of column `q` in a sorted active row, if present.
+fn find(row: &[(u32, f64)], q: usize) -> Option<usize> {
+    row.binary_search_by_key(&(q as u32), |&(c, _)| c).ok()
+}
+
 /// The value of column `q` in a sorted active row, if present.
 fn lookup(row: &[(u32, f64)], q: usize) -> Option<f64> {
-    row.binary_search_by_key(&(q as u32), |&(c, _)| c)
-        .ok()
-        .map(|p| row[p].1)
+    find(row, q).map(|p| row[p].1)
 }
 
 /// One Markowitz pivot candidate, ordered by score, then `−|a|`, then
@@ -553,6 +552,11 @@ impl ColStat {
             self.at_max -= 1;
         }
     }
+
+    /// True when `max` is only an upper bound.
+    fn stale(&self) -> bool {
+        self.at_max == 0 && self.cnt > 0
+    }
 }
 
 /// A basis column oracle, as [`LuFactor::factor`] takes it.
@@ -564,13 +568,18 @@ type Oracle<'a> = dyn Fn(usize, &mut dyn FnMut(usize, f64)) + 'a;
 ///
 /// The search never sweeps the active submatrix. Row degrees, column
 /// counts and column maxima are updated entry by entry as rows are
-/// eliminated (see [`ColStat`]), and a column is rescanned only when its
-/// maximum goes stale or it becomes a singleton. Entries whose
+/// eliminated (see [`ColStat`]). A column is rescanned when it becomes a
+/// singleton, whose entry must be found, and when a threshold test fails
+/// against a maximum that went stale: a stale maximum is an upper bound,
+/// so an entry that passes against it passes. Entries whose
 /// row or column is a singleton score 0 and wait in a heap ordered by the
-/// tie-break; without one, rows and columns are searched by count
-/// `k = 2, 3, …` until `(k − 1)²`, the lowest score an unseen entry can
-/// have, is strictly greater than the best score found, so every tie has
-/// been seen.
+/// tie-break; pivoting one moves no value of the active submatrix, so a
+/// column singleton only drops its row and a row singleton only drops its
+/// column from the other rows. Without one, rows and columns are
+/// searched by count `k = 2, 3, …` until `(k − 1)²`, the lowest score an
+/// unseen entry can have, is strictly greater than the best score found,
+/// so every tie has been seen; the columns of the last, shared bucket are
+/// searched whole.
 #[derive(Debug, Default)]
 pub(crate) struct LuScratch {
     /// Active-submatrix rows, sorted by column position; active rows only
@@ -585,8 +594,13 @@ pub(crate) struct LuScratch {
     col_active: Vec<bool>,
     /// Count and maximum magnitude of each active column.
     cols: Vec<ColStat>,
-    /// Rescan stamps, one per row, that drop repeated registrations.
+    /// Stamps, one per row, that drop repeated registrations in a rescan.
     mark: Vec<u32>,
+    /// Stamps, one per column: the pivot row's columns carry the step's
+    /// stamp, the columns an eliminated row already holds the row's.
+    col_mark: Vec<u32>,
+    /// The pivot row's values, scattered by column.
+    col_val: Vec<f64>,
     stamp: u32,
     row_lists: CountLists,
     col_lists: CountLists,
@@ -597,11 +611,16 @@ pub(crate) struct LuScratch {
     deferred: Vec<SingletonKey>,
     /// The pivot row of the current step.
     pivot_row: Vec<(u32, f64)>,
+    /// Fill-in of the row being eliminated, while it merges in.
     spill: Vec<(u32, f64)>,
-    /// Columns of `L` and rows of `U`, in original coordinates, one per
-    /// step.
+    /// The columns of `L`, one per step, holding original rows until the
+    /// factor is assembled.
     l_steps: Vec<Vec<(u32, f64)>>,
-    u_steps: Vec<Vec<(u32, f64)>>,
+    /// The off-diagonal columns of `U`, by original column. A pivot row's
+    /// entries go in at its step, so each column fills in row order.
+    u_by_col: Vec<Vec<(u32, f64)>>,
+    /// Each original row's step, while a factor is assembled.
+    step_of_row: Vec<u32>,
 }
 
 /// Scratch holds no state between factorizations, so a clone starts empty
@@ -619,14 +638,32 @@ impl LuScratch {
         let mut col_of = Vec::with_capacity(m);
         let mut u_diag = Vec::with_capacity(m);
         for step in 0..m {
-            let p = self.select(m - step).ok_or(Singular)?;
+            let p = self.select().ok_or(Singular)?;
             row_of.push(p.row as u32);
             col_of.push(p.col as u32);
             u_diag.push(p.val);
             self.eliminate(step, p.row, p.col, p.val);
         }
-        let (l_cols, u_cols) =
-            pivot_coords(&row_of, &col_of, &self.l_steps[..m], &self.u_steps[..m]);
+        // Into pivot coordinates: `L`'s rows by their steps, `U`'s columns
+        // by the steps that pivoted them. The factor gets copies, allocated
+        // in pivot order at their exact sizes, which keeps its columns
+        // together for the solves; the scratch keeps its buffers.
+        self.step_of_row.resize(m, 0);
+        for (k, &r) in row_of.iter().enumerate() {
+            self.step_of_row[r as usize] = k as u32;
+        }
+        let mut l_cols = Vec::with_capacity(m);
+        for (k, l) in self.l_steps[..m].iter_mut().enumerate() {
+            for e in l.iter_mut() {
+                e.0 = self.step_of_row[e.0 as usize];
+            }
+            debug_assert!(l.iter().all(|&(i, _)| i as usize > k));
+            l_cols.push(l.clone());
+        }
+        let u_cols = col_of
+            .iter()
+            .map(|&q| self.u_by_col[q as usize].clone())
+            .collect();
         Ok(LuFactor {
             m,
             row_of,
@@ -637,37 +674,38 @@ impl LuScratch {
         })
     }
 
-    /// Loads the basis into the active submatrix and files every row,
-    /// column and singleton.
+    /// Loads the basis into the active submatrix in one pass over the
+    /// oracle and files every row, column and singleton.
     fn load(&mut self, m: usize, col: &Oracle) {
-        self.rows.resize_with(m, Vec::new);
-        self.col_rows.resize_with(m, Vec::new);
-        self.l_steps.resize_with(m, Vec::new);
-        self.u_steps.resize_with(m, Vec::new);
-        for v in [&mut self.rows, &mut self.l_steps, &mut self.u_steps] {
+        for v in [&mut self.rows, &mut self.l_steps, &mut self.u_by_col] {
+            v.resize_with(m, Vec::new);
             v[..m].iter_mut().for_each(Vec::clear);
-        }
-        self.col_rows[..m].iter_mut().for_each(Vec::clear);
-        let rows = &mut self.rows;
-        // Columns arrive in position order, so every row comes out sorted.
-        for q in 0..m {
-            col(q, &mut |i, a| {
-                if a != 0.0 {
-                    rows[i].push((q as u32, a));
-                }
-            });
         }
         self.cols.clear();
         self.cols.resize(m, ColStat::default());
+        let (rows, cols) = (&mut self.rows, &mut self.cols);
+        // Columns arrive in position order, so every row comes out sorted.
+        for (q, stat) in cols.iter_mut().enumerate() {
+            col(q, &mut |i, a| {
+                if a != 0.0 {
+                    rows[i].push((q as u32, a));
+                    stat.add(a.abs());
+                }
+            });
+        }
+        // Registration is in row order.
+        self.col_rows.resize_with(m, Vec::new);
+        self.col_rows[..m].iter_mut().for_each(Vec::clear);
         for (i, r) in self.rows[..m].iter().enumerate() {
-            debug_assert!(r.windows(2).all(|w| w[0].0 < w[1].0));
-            for &(q, a) in r {
+            for &(q, _) in r {
                 self.col_rows[q as usize].push(i as u32);
-                self.cols[q as usize].add(a.abs());
             }
         }
         self.mark.clear();
         self.mark.resize(m, 0);
+        self.col_mark.clear();
+        self.col_mark.resize(m, 0);
+        self.col_val.resize(m, 0.0);
         self.stamp = 0;
         self.row_active.clear();
         self.row_active.resize(m, true);
@@ -675,39 +713,43 @@ impl LuScratch {
         self.col_active.resize(m, true);
         self.row_lists.reset(m);
         self.col_lists.reset(m);
+        for i in 0..m {
+            self.row_lists.insert(i, self.rows[i].len() as u32);
+            self.col_lists.insert(i, self.cols[i].cnt);
+        }
         let mut singletons = std::mem::take(&mut self.singletons).into_vec();
         singletons.clear();
         for (i, r) in self.rows[..m].iter().enumerate() {
-            self.row_lists.insert(i, r.len() as u32);
             if let [(q, a)] = r[..] {
-                singletons.push(singleton_key(i, q as usize, a));
+                singletons.push(singleton_key(i, q as usize, a.abs()));
             }
         }
-        for q in 0..m {
-            self.col_lists.insert(q, self.cols[q].cnt);
-            if let [i] = self.col_rows[q][..] {
-                let a = lookup(&self.rows[i as usize], q).expect("registered entry");
-                singletons.push(singleton_key(i as usize, q, a));
+        for (q, list) in self.col_rows[..m].iter().enumerate() {
+            // An entry alone in its row and its column is filed once.
+            if let [i] = list[..] {
+                if self.rows[i as usize].len() > 1 {
+                    singletons.push(singleton_key(i as usize, q, self.cols[q].max));
+                }
             }
         }
         self.singletons = BinaryHeap::from(singletons);
     }
 
-    /// The pivot the reference scan would pick over `n_active` active
-    /// rows and columns, or `None` when no entry passes the threshold.
-    fn select(&mut self, n_active: usize) -> Option<Candidate> {
+    /// The pivot the reference scan would pick, or `None` when no entry
+    /// passes the threshold.
+    fn select(&mut self) -> Option<Candidate> {
         // Score 0: the smallest valid, eligible singleton key. A singleton's
         // value never changes while its row and column are active, so a
         // dead or too-small one is dropped for good; one under the relative
         // threshold may pass later, when its column's maximum falls.
         let mut found = None;
         while let Some(&top) = self.singletons.peek() {
-            let Reverse((bits, i, q)) = top;
-            let (i, q) = (i as usize, q as usize);
-            let abs = f64::from_bits(!bits);
+            let Reverse(key) = top;
+            let (i, q) = ((key >> 32) as u32 as usize, key as u32 as usize);
+            let abs = f64::from_bits(!((key >> 64) as u64));
             if !self.row_active[i] || !self.col_active[q] || abs < SINGULAR_TOL {
                 self.singletons.pop();
-            } else if !eligible(abs, self.cols[q].max) {
+            } else if !self.passes(abs, q) {
                 self.deferred.push(top);
                 self.singletons.pop();
             } else {
@@ -728,45 +770,33 @@ impl LuScratch {
         // Count-ordered search. After bucket `k`, an unseen entry has row
         // and column counts above `k`, so its score is at least `k²`.
         let mut best: Option<Candidate> = None;
-        for k in 2..=n_active {
-            let floor = ((k - 1) * (k - 1)) as u64;
-            if best.is_some_and(|b| floor > b.score) {
-                break;
+        for k in 2..BUCKETS {
+            if best.is_some_and(|b| ((k - 1) * (k - 1)) as u64 > b.score) {
+                return best;
             }
-            for q in self.col_lists.bucket(k) {
-                for &i in &self.col_rows[q] {
-                    let i = i as usize;
-                    if !self.row_active[i] {
-                        continue;
-                    }
-                    let Some(val) = lookup(&self.rows[i], q) else {
-                        continue;
-                    };
-                    if eligible(val.abs(), self.cols[q].max) {
-                        let score = (self.rows[i].len() as u64 - 1) * (k as u64 - 1);
-                        offer(
-                            &mut best,
-                            Candidate {
-                                score,
-                                row: i,
-                                col: q,
-                                val,
-                            },
-                        );
-                    }
-                }
+            self.scan_columns(k, &mut best);
+            // Every column of count `k` or less has been seen, so an unseen
+            // entry of a row of count `k` scores at least `(k − 1)·k`.
+            if best.is_some_and(|b| ((k - 1) * k) as u64 > b.score) {
+                return best;
             }
-            for i in self.row_lists.bucket(k) {
-                for &(q, val) in &self.rows[i] {
+            let mut i = self.row_lists.head[k];
+            while i != NIL {
+                let ii = i as usize;
+                i = self.row_lists.next[ii];
+                for x in 0..k {
+                    let (q, val) = self.rows[ii][x];
                     let q = q as usize;
-                    let c = self.cols[q];
-                    if eligible(val.abs(), c.max) {
-                        let score = (k as u64 - 1) * (c.cnt as u64 - 1);
+                    let score = (k as u64 - 1) * (self.cols[q].cnt as u64 - 1);
+                    if best.is_some_and(|b| score > b.score) {
+                        continue;
+                    }
+                    if self.passes(val.abs(), q) {
                         offer(
                             &mut best,
                             Candidate {
                                 score,
-                                row: i,
+                                row: ii,
                                 col: q,
                                 val,
                             },
@@ -775,13 +805,88 @@ impl LuScratch {
                 }
             }
         }
+        // What is left unseen lies in the columns of the last bucket.
+        if best.is_none_or(|b| ((BUCKETS - 1) * (BUCKETS - 1)) as u64 <= b.score) {
+            self.scan_columns(BUCKETS, &mut best);
+        }
         best
+    }
+
+    /// Offers every eligible entry of the columns filed under bucket `k`
+    /// that could beat `best`.
+    fn scan_columns(&mut self, k: usize, best: &mut Option<Candidate>) {
+        let mut q = self.col_lists.head[k];
+        while q != NIL {
+            let qi = q as usize;
+            q = self.col_lists.next[qi];
+            if self.cols[qi].stale() {
+                self.rescan(qi);
+            }
+            let ColStat { cnt, max, .. } = self.cols[qi];
+            if self.col_rows[qi].len() > 2 * cnt as usize {
+                let row_active = &self.row_active;
+                self.col_rows[qi].retain(|&i| row_active[i as usize]);
+            }
+            for &i in &self.col_rows[qi] {
+                let i = i as usize;
+                if !self.row_active[i] {
+                    continue;
+                }
+                // Score before looking the entry up (the registration may
+                // be stale, its row even empty): a higher score cannot win.
+                let score = (self.rows[i].len() as u64).saturating_sub(1) * (cnt as u64 - 1);
+                if best.is_some_and(|b| score > b.score) {
+                    continue;
+                }
+                let Some(val) = lookup(&self.rows[i], qi) else {
+                    continue;
+                };
+                if eligible(val.abs(), max) {
+                    offer(
+                        best,
+                        Candidate {
+                            score,
+                            row: i,
+                            col: qi,
+                            val,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// The threshold test of an entry of column `q`, rescanning the column
+    /// when the entry fails only against a stale maximum.
+    fn passes(&mut self, abs: f64, q: usize) -> bool {
+        if eligible(abs, self.cols[q].max) {
+            return true;
+        }
+        if !self.cols[q].stale() {
+            return false;
+        }
+        self.rescan(q);
+        eligible(abs, self.cols[q].max)
+    }
+
+    /// Recomputes the count and maximum of active column `q` from its
+    /// entries, and returns the row of one of them.
+    fn rescan(&mut self, q: usize) -> Option<usize> {
+        rescan(
+            q,
+            &mut self.col_rows[q],
+            &mut self.cols[q],
+            &self.rows,
+            &self.row_active,
+            &mut self.mark,
+            &mut self.stamp,
+        )
     }
 
     /// Pivots on `(pr, pc)`: the pivot row becomes a row of `U`, every
     /// other active row holding `pc` is eliminated (its multiplier becomes
-    /// an entry of this step's `L` column), and the counts, maxima and
-    /// singletons of the touched rows and columns are brought up to date.
+    /// an entry of this step's `L` column), and the counts and singletons
+    /// of the touched rows and columns are brought up to date.
     fn eliminate(&mut self, step: usize, pr: usize, pc: usize, pv: f64) {
         let LuScratch {
             rows,
@@ -790,6 +895,8 @@ impl LuScratch {
             col_active,
             cols,
             mark,
+            col_mark,
+            col_val,
             stamp,
             row_lists,
             col_lists,
@@ -797,139 +904,189 @@ impl LuScratch {
             pivot_row,
             spill,
             l_steps,
-            u_steps,
+            u_by_col,
             ..
         } = self;
-        let (l_col, u_row) = (&mut l_steps[step], &mut u_steps[step]);
+        let l_col = &mut l_steps[step];
         row_active[pr] = false;
         col_active[pc] = false;
         row_lists.remove(pr);
         col_lists.remove(pc);
 
-        // The pivot row (minus the pivot entry) becomes the next row of U.
-        pivot_row.clear();
-        pivot_row.extend_from_slice(&rows[pr]);
+        // The pivot row (minus the pivot entry) becomes the next row of U,
+        // and its entries scatter by column for the eliminations below.
+        std::mem::swap(pivot_row, &mut rows[pr]);
         rows[pr].clear();
+        *stamp += 1;
+        let pivot_stamp = *stamp;
         for &(q, v) in pivot_row.iter() {
-            if q as usize != pc {
-                u_row.push((q, v));
-                cols[q as usize].remove(v.abs());
+            let q = q as usize;
+            if q != pc {
+                u_by_col[q].push((step as u32, v));
+                cols[q].remove(v.abs());
+                col_mark[q] = pivot_stamp;
+                col_val[q] = v;
             }
         }
+        // From here on the pivot row holds its other columns only.
+        pivot_row.remove(find(pivot_row, pc).expect("pivot entry"));
 
-        // Eliminate the pivot column from every other active row.
-        // Fill-in registers rows under other columns only, so the pivot
-        // column's list holds still while it is walked.
-        for n in 0..col_rows[pc].len() {
-            let ri = col_rows[pc][n] as usize;
+        // Eliminate the pivot column from every other active row:
+        // rows[ri] ← rows[ri] − mult · pivot_row, in place. Fill-in
+        // registers rows under other columns only, so the pivot column's
+        // list holds still while it is walked.
+        let walk = std::mem::take(&mut col_rows[pc]);
+        for &ri in &walk {
+            let ri = ri as usize;
             if !row_active[ri] {
                 continue;
             }
-            let Some(a) = lookup(&rows[ri], pc) else {
+            let row = &mut rows[ri];
+            let Some(pos) = find(row, pc) else {
                 continue; // stale index entry
             };
-            let mult = a / pv;
+            let mult = row[pos].1 / pv;
             l_col.push((ri as u32, mult));
-            // rows[ri] ← rows[ri] − mult · pivot_row, merged by column.
-            spill.clear();
-            let old = &rows[ri];
-            let (mut x, mut y) = (0, 0);
-            while x < old.len() || y < pivot_row.len() {
-                match (old.get(x), pivot_row.get(y)) {
-                    (Some(&(qa, av)), Some(&(qb, bv))) if qa == qb => {
-                        x += 1;
-                        y += 1;
-                        if qa as usize != pc {
-                            let v = av - mult * bv;
-                            let c = &mut cols[qa as usize];
-                            c.remove(av.abs());
-                            if v.abs() > LU_DROP_TOL {
-                                c.add(v.abs());
-                                spill.push((qa, v));
-                            }
+            if pivot_row.is_empty() {
+                row.remove(pos);
+            } else {
+                // Update the entries the pivot row shares, marking them; an
+                // update that cancels leaves the row, as does the pivot
+                // column's entry.
+                *stamp += 1;
+                let row_stamp = *stamp;
+                let mut kept = 0;
+                for x in 0..row.len() {
+                    let (q, av) = row[x];
+                    let qi = q as usize;
+                    if col_mark[qi] != pivot_stamp {
+                        if x != pos {
+                            row[kept] = (q, av);
+                            kept += 1;
                         }
+                        continue;
                     }
-                    (Some(&(qa, av)), Some(&(qb, _))) if qa < qb => {
-                        x += 1;
-                        if qa as usize != pc {
-                            spill.push((qa, av));
-                        }
+                    col_mark[qi] = row_stamp;
+                    let v = av - mult * col_val[qi];
+                    let c = &mut cols[qi];
+                    c.remove(av.abs());
+                    if v.abs() > LU_DROP_TOL {
+                        c.add(v.abs());
+                        row[kept] = (q, v);
+                        kept += 1;
                     }
-                    (Some(&(qa, av)), None) => {
-                        x += 1;
-                        if qa as usize != pc {
-                            spill.push((qa, av));
-                        }
-                    }
-                    (_, Some(&(qb, bv))) => {
-                        y += 1;
-                        if qb as usize != pc {
-                            let v = -mult * bv;
-                            if v.abs() > LU_DROP_TOL {
-                                // Fill-in: register the row under the new column.
-                                col_rows[qb as usize].push(ri as u32);
-                                cols[qb as usize].add(v.abs());
-                                spill.push((qb, v));
-                            }
-                        }
-                    }
-                    (None, None) => unreachable!(),
                 }
+                row.truncate(kept);
+                // The pivot row's other columns are fill-in.
+                for &(q, _) in pivot_row.iter() {
+                    let qi = q as usize;
+                    if col_mark[qi] == row_stamp {
+                        col_mark[qi] = pivot_stamp;
+                        continue;
+                    }
+                    let v = -mult * col_val[qi];
+                    if v.abs() > LU_DROP_TOL {
+                        // Fill-in: register the row under the new column.
+                        col_rows[qi].push(ri as u32);
+                        cols[qi].add(v.abs());
+                        row.push((q, v));
+                    }
+                }
+                merge_tail(row, kept, spill);
             }
-            rows[ri].clear();
-            rows[ri].extend_from_slice(spill);
-            row_lists.refile(ri, spill.len() as u32);
-            if let [(q, v)] = spill[..] {
-                singletons.push(singleton_key(ri, q as usize, v));
+            row_lists.refile(ri, row.len() as u32);
+            if let [(q, v)] = row[..] {
+                singletons.push(singleton_key(ri, q as usize, v.abs()));
             }
         }
+        col_rows[pc] = walk;
         col_rows[pc].clear();
 
         // Only the pivot row's columns lost or changed entries: re-bucket
-        // them, and rescan one whose maximum went stale or that became a
-        // singleton (whose entry must be found).
+        // them, and rescan one that became a singleton (whose entry must be
+        // found). A stale maximum waits for a threshold test that needs it.
         for &(q, _) in pivot_row.iter() {
             let q = q as usize;
-            if q == pc {
-                continue;
-            }
-            let c = &mut cols[q];
-            col_lists.refile(q, c.cnt);
-            if c.cnt == 0 || (c.at_max > 0 && c.cnt > 1) {
-                continue;
-            }
-            // Drop pivoted rows and repeated registrations (a row whose
-            // entry cancelled and filled in again), keeping first
-            // occurrences so the registration order stays as it was.
-            *stamp += 1;
-            col_rows[q].retain(|&i| {
-                let i = i as usize;
-                row_active[i] && std::mem::replace(&mut mark[i], *stamp) != *stamp
-            });
-            let mut fresh = ColStat::default();
-            let mut last = None;
-            for &i in &col_rows[q] {
-                if let Some(a) = lookup(&rows[i as usize], q) {
-                    fresh.add(a.abs());
-                    last = Some((i as usize, a));
-                }
-            }
-            debug_assert_eq!(fresh.cnt, c.cnt, "column {q} count drifted");
-            *c = fresh;
-            if c.cnt == 1 {
-                let (i, a) = last.expect("a counted entry");
-                singletons.push(singleton_key(i, q, a));
+            col_lists.refile(q, cols[q].cnt);
+            if cols[q].cnt == 1 {
+                let i = rescan(
+                    q,
+                    &mut col_rows[q],
+                    &mut cols[q],
+                    rows,
+                    row_active,
+                    mark,
+                    stamp,
+                )
+                .expect("a counted entry");
+                singletons.push(singleton_key(i, q, cols[q].max));
             }
         }
     }
 }
 
-/// Builds `L` and `U` column-wise in pivot coordinates from what the
-/// elimination recorded in original coordinates: `l_steps[k]`, the
+/// Merges the sorted run `row[sorted..]` into the sorted run before it.
+fn merge_tail(row: &mut [(u32, f64)], sorted: usize, spill: &mut Vec<(u32, f64)>) {
+    if sorted == row.len() {
+        return;
+    }
+    spill.clear();
+    spill.extend_from_slice(&row[sorted..]);
+    let (mut a, mut b) = (sorted, spill.len());
+    for w in (0..row.len()).rev() {
+        if b == 0 {
+            break;
+        }
+        if a > 0 && row[a - 1].0 > spill[b - 1].0 {
+            a -= 1;
+            row[w] = row[a];
+        } else {
+            b -= 1;
+            row[w] = spill[b];
+        }
+    }
+}
+
+/// Recomputes the count and maximum of active column `q`, dropping
+/// pivoted rows and repeated registrations (a row whose entry cancelled
+/// and filled in again) from its list. First occurrences are kept, so the
+/// registration order stays as it was. Returns the row of the last entry
+/// counted.
+fn rescan(
+    q: usize,
+    list: &mut Vec<u32>,
+    stat: &mut ColStat,
+    rows: &[Vec<(u32, f64)>],
+    row_active: &[bool],
+    mark: &mut [u32],
+    stamp: &mut u32,
+) -> Option<usize> {
+    *stamp += 1;
+    list.retain(|&i| {
+        let i = i as usize;
+        row_active[i] && std::mem::replace(&mut mark[i], *stamp) != *stamp
+    });
+    let mut fresh = ColStat::default();
+    let mut last = None;
+    for &i in list.iter() {
+        if let Some(a) = lookup(&rows[i as usize], q) {
+            fresh.add(a.abs());
+            last = Some(i as usize);
+        }
+    }
+    debug_assert_eq!(fresh.cnt, stat.cnt, "column {q} count drifted");
+    *stat = fresh;
+    last
+}
+
+/// Builds `L` and `U` column-wise in pivot coordinates from what
+/// [`LuFactor::reference_factor`]'s elimination recorded in original
+/// coordinates: `l_steps[k]`, the
 /// multipliers `(row, L)` of step `k`, keeps its entry order, and
 /// `u_steps[k]`, the pivot row `(column, U)` of step `k` without its pivot,
 /// scatters into columns in step order, which leaves every column sorted
 /// by row.
+#[cfg(any(test, debug_assertions))]
 #[allow(clippy::type_complexity)] // the two factors, as `LuFactor` holds them
 fn pivot_coords(
     row_of: &[u32],
@@ -1641,6 +1798,109 @@ mod tests {
             factored > 300 && singular > 50,
             "{factored} factored, {singular} singular"
         );
+    }
+
+    /// A basis of the shape the structured formulations hand the solver
+    /// (Ineq. 20 and Ineq. 4 bases at the sizes perfbench factors): 50–75%
+    /// unit slack columns, the rest 2–12 entries of ±1 with now and then
+    /// an `II`-sized coefficient. Every row gets a slack or an entry, and
+    /// one structural column is made near the relative threshold: one
+    /// entry of 10, one of exactly `LU_PIVOT_REL · 10` and one just below.
+    fn structured_basis(rng: &mut rand::rngs::StdRng, m: usize) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let mut cols = vec![vec![0.0; m]; m];
+        let slacks = m * rng.gen_range(50..=75) / 100;
+        let mut rows: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let ii = rng.gen_range(2..=12) as f64;
+        for (q, col) in cols.iter_mut().enumerate() {
+            if q < slacks {
+                col[rows[q]] = if rng.gen_bool(0.8) { 1.0 } else { -1.0 };
+                continue;
+            }
+            // A row left without a slack, so no row stays empty.
+            col[rows[q]] = 1.0;
+            for _ in 1..rng.gen_range(2..=12) {
+                let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                let mag = if rng.gen_bool(0.1) { ii } else { 1.0 };
+                col[rng.gen_range(0..m)] = sign * mag;
+            }
+        }
+        // In rows without a slack, which stay until the nucleus.
+        if m - slacks >= 3 {
+            let q = rng.gen_range(slacks..m);
+            let near = LU_PIVOT_REL * 10.0;
+            for (k, v) in [10.0, near, near * (1.0 - 1e-12)].into_iter().enumerate() {
+                cols[q][rows[slacks + (q - slacks + k) % (m - slacks)]] = v;
+            }
+        }
+        cols
+    }
+
+    /// `factor` against `reference_factor` on structured bases with m in
+    /// 60..=320, the sizes perfbench factors (the random classes above
+    /// stop at m = 24).
+    #[test]
+    fn factor_matches_reference_at_perfbench_sizes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x51AC);
+        let mut scratch = LuScratch::default();
+        let (mut factored, mut singular) = (0, 0);
+        for case in 0..24 {
+            let m = rng.gen_range(60..=320usize);
+            let cols = structured_basis(&mut rng, m);
+            let fast = LuFactor::factor(&mut scratch, m, dense_cols(&cols));
+            let reference = LuFactor::reference_factor(m, dense_cols(&cols));
+            match (&fast, &reference) {
+                (Ok(a), Ok(b)) => {
+                    assert!(a.same_bits(b), "case {case} (m = {m}): factors differ");
+                    factored += 1;
+                }
+                (Err(Singular), Err(Singular)) => singular += 1,
+                _ => panic!("case {case} (m = {m}): fast and reference disagree"),
+            }
+        }
+        assert!(factored >= 12, "{factored} factored, {singular} singular");
+    }
+
+    /// One scratch, as `SparseBasis` keeps it, factors a seeded sequence of
+    /// bases that grow and shrink, change shape and include a singular one;
+    /// every factor must match one built with a fresh scratch, bit for bit.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch() {
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5C2A);
+        let mut sb = SparseBasis::identity(1);
+        let sizes = [12, 180, 40, 320, 7, 96, 250, 3, 150, 60];
+        for (case, &m) in sizes.iter().enumerate() {
+            let mut cols = structured_basis(&mut rng, m);
+            if case == 4 {
+                // A repeated column: singular.
+                cols[1] = cols[0].clone();
+            } else if case % 3 == 2 {
+                // Circulant ±1 columns beside the slacks.
+                for (q, col) in cols.iter_mut().enumerate().skip(m / 2) {
+                    col.iter_mut().for_each(|a| *a = 0.0);
+                    col[q] = 1.0;
+                    col[(q + 1) % m] = -1.0;
+                }
+            }
+            let fresh = LuFactor::factor(&mut LuScratch::default(), m, dense_cols(&cols));
+            let installed = sb.refactor(m, dense_cols(&cols));
+            match fresh {
+                Ok(f) => {
+                    assert!(installed, "case {case} (m = {m}): reused scratch failed");
+                    assert!(sb.lu.same_bits(&f), "case {case} (m = {m}): factors differ");
+                }
+                Err(Singular) => {
+                    assert!(!installed, "case {case} (m = {m}): singular basis factored");
+                }
+            }
+        }
     }
 
     #[test]

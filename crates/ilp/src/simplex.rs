@@ -202,7 +202,10 @@ pub struct SimplexOptions {
     pub fault: FaultPlan,
     /// Basis engine; defaults to [`SimplexEngine::from_env`].
     pub engine: SimplexEngine,
-    /// Refactorize the basis after this many pivots (default 400).
+    /// Refactorize the basis after this many pivots (default 400). Under the
+    /// sparse engine the eta-file budget ([`SimplexOptions::eta_nnz_limit`])
+    /// is usually reached first: on structured bases each eta is dense, so
+    /// the file outgrows the budget long before 400 pivots.
     pub refactor_every: u64,
     /// Consecutive degenerate pivots before switching to Bland's rule
     /// (default 60).

@@ -120,10 +120,16 @@ pub struct SolveStats {
     /// Incumbent updates: how many times a strictly better integral
     /// solution was accepted during the search.
     pub incumbents: u64,
-    /// Basis refactorizations performed across all LP solves (the scheduled
-    /// cadence set by [`SimplexOptions::refactor_every`](crate::SimplexOptions),
-    /// watchdog-forced rebuilds, and warm-start basis installations that
-    /// could not roll back to the parent's factor).
+    /// Basis refactorizations performed across all LP solves: the sparse
+    /// engine's eta-file budget
+    /// ([`SimplexOptions::eta_nnz_limit`](crate::SimplexOptions), auto
+    /// `16m + 1024` stored entries), warm-start basis installations that
+    /// could not roll back to the parent's factor, watchdog-forced
+    /// rebuilds, and the
+    /// [`SimplexOptions::refactor_every`](crate::SimplexOptions) pivot
+    /// cadence. On the structured models the budget forces most of the
+    /// in-loop ones, since their product-form etas are dense, and the
+    /// cadence is seldom reached first.
     pub refactors: u64,
     /// Product-form eta updates absorbed by the sparse basis engine across
     /// all LP solves (0 when the dense engine ran).
