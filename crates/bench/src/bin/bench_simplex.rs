@@ -1,24 +1,23 @@
-//! Per-node LP re-solve microbenchmark: dense vs sparse engine, warm vs
-//! cold restart, on the large generated loops where the basis dimension
-//! actually hurts. Prints a per-loop table and enforces a pinned
-//! non-regression gate on the headline ratio.
+//! Per-node LP re-solve microbenchmark: warm vs cold restart, on the large
+//! generated loops where the basis dimension actually hurts. Prints a
+//! per-loop table and enforces a pinned non-regression gate on the
+//! headline ratio.
 //!
 //! What is measured, per generated loop (N >= 40 operations, scheduling
 //! ILP built at the loop's MII with the structured formulation):
 //!
-//! 1. the root LP relaxation, solved once per engine (cold), and
+//! 1. the root LP relaxation, solved cold, and
 //! 2. a set of simulated branch-and-bound children — one integer variable
 //!    bound-fixed per child, exactly what `branch_bound.rs` does — each
-//!    re-solved three ways: dense cold, sparse cold, and sparse warm from
-//!    the parent's basis snapshot. The cold sparse solves run on a
-//!    `Simplex` of their own, so every warm child finds the root's factor
-//!    still in place and rolls its eta file back to it, as a
-//!    branch-and-bound child does; the table prints how many warm children
-//!    refactorized instead.
+//!    re-solved twice: cold, and warm from the parent's basis snapshot.
+//!    The cold solves run on a `Simplex` of their own, so every warm child
+//!    finds the root's factor still in place and rolls its eta file back
+//!    to it, as a branch-and-bound child does; the table prints how many
+//!    warm children refactorized instead.
 //!
 //! The headline number is the geometric mean, across loops, of
-//! `dense cold / sparse warm` per-child re-solve time: the speedup a
-//! branch-and-bound node actually sees from the sparse engine. The gate
+//! `cold / warm` per-child re-solve time: the speedup a branch-and-bound
+//! node sees from restarting at its parent's basis. The gate
 //! (`MIN_RATIO`) fails the process when the geomean drops below it, so
 //! `scripts/check.sh` pins the win.
 //!
@@ -28,22 +27,15 @@ use std::time::Instant;
 
 use optimod::{build_model, compute_mii, BuiltModel, FormulationConfig};
 use optimod_ddg::generator::{generate_loop, GeneratorConfig};
-use optimod_ilp::{LpStatus, Simplex, SimplexEngine, SimplexOptions, WarmStart};
+use optimod_ilp::{LpStatus, Simplex, SimplexOptions, WarmStart};
 use optimod_machine::example_3fu;
 
 /// Generated loops measured (seeds 1000..).
 const LOOPS: usize = 5;
 /// Simulated branch-and-bound children re-solved per loop.
 const CHILDREN: usize = 6;
-/// The geomean per-node re-solve speedup below which the gate fails.
+/// The geomean per-node warm-start speedup below which the gate fails.
 const MIN_RATIO: f64 = 2.0;
-
-fn opts_for(engine: SimplexEngine) -> SimplexOptions {
-    SimplexOptions {
-        engine,
-        ..Default::default()
-    }
-}
 
 /// Builds the scheduling ILP for `seed` at the smallest II whose root LP
 /// relaxation is feasible (a capped probe solve filters infeasible IIs
@@ -59,7 +51,7 @@ fn build_for_seed(seed: u64, machine: &optimod_machine::Machine) -> (String, usi
     let l = generate_loop(&cfg, machine, seed);
     let probe_opts = SimplexOptions {
         max_iterations: 6_000,
-        ..opts_for(SimplexEngine::Sparse)
+        ..Default::default()
     };
     let mut ii = compute_mii(&l, machine).value();
     loop {
@@ -86,11 +78,9 @@ struct Row {
     name: String,
     ops: usize,
     rows: usize,
-    root_dense_ns: u64,
-    root_sparse_ns: u64,
-    dense_cold_ns: u64,
-    sparse_cold_ns: u64,
-    sparse_warm_ns: u64,
+    root_ns: u64,
+    cold_ns: u64,
+    warm_ns: u64,
     warm_taken: usize,
     warm_refactors: u64,
     children: usize,
@@ -109,39 +99,19 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         model.num_vars(),
         model.num_constraints()
     );
-    let mut dense = Simplex::new(model);
-    let mut sparse = Simplex::new(model);
-    let mut sparse_cold = Simplex::new(model);
-    let dense_opts = opts_for(SimplexEngine::Dense);
-    let sparse_opts = opts_for(SimplexEngine::Sparse);
+    let mut warm = Simplex::new(model);
+    let mut cold = Simplex::new(model);
 
     let t0 = Instant::now();
-    let root_s = sparse.solve(&lb, &ub, &sparse_opts);
-    let root_sparse_ns = t0.elapsed().as_nanos() as u64;
+    let root = warm.solve(&lb, &ub, &SimplexOptions::default());
+    let root_ns = t0.elapsed().as_nanos() as u64;
     eprintln!(
-        "  [{name}] sparse root: {:.3}ms ({} iterations)",
-        root_sparse_ns as f64 / 1e6,
-        root_s.iterations
+        "  [{name}] root: {:.3}ms ({} iterations)",
+        root_ns as f64 / 1e6,
+        root.iterations
     );
-    let t0 = Instant::now();
-    let root_d = dense.solve(&lb, &ub, &dense_opts);
-    let root_dense_ns = t0.elapsed().as_nanos() as u64;
-    eprintln!("  [{name}] dense root: {:.3}ms", root_dense_ns as f64 / 1e6);
-    assert_eq!(
-        root_d.status,
-        LpStatus::Optimal,
-        "{name}: dense root not optimal"
-    );
-    assert_eq!(
-        root_s.status,
-        LpStatus::Optimal,
-        "{name}: sparse root not optimal"
-    );
-    assert!(
-        (root_d.objective - root_s.objective).abs() < 1e-6,
-        "{name}: engines disagree at the root"
-    );
-    let snapshot = sparse.basis_snapshot().expect("optimal root basis");
+    assert_eq!(root.status, LpStatus::Optimal, "{name}: root not optimal");
+    let snapshot = warm.basis_snapshot().expect("optimal root basis");
 
     // Child nodes: fix one schedule binary per child, alternating the
     // branch direction the way the down/up children of one B&B node do.
@@ -150,18 +120,15 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
     // exactly what the warm restart exists to avoid) is reported as an
     // indefinite status, and that child is skipped rather than letting one
     // pathological cold solve dominate the timing columns for minutes.
-    let child_opts = |base: &SimplexOptions| SimplexOptions {
+    let child_opts = SimplexOptions {
         max_iterations: 12_000,
-        ..base.clone()
+        ..Default::default()
     };
-    let dense_child_opts = child_opts(&dense_opts);
-    let sparse_child_opts = child_opts(&sparse_opts);
     let definite = |s: LpStatus| matches!(s, LpStatus::Optimal | LpStatus::Infeasible);
     let branch_vars: Vec<_> = built.a.iter().flatten().copied().collect();
     let stride = (branch_vars.len() / children_per_loop).max(1);
-    let mut dense_cold_ns = 0u64;
-    let mut sparse_cold_ns = 0u64;
-    let mut sparse_warm_ns = 0u64;
+    let mut cold_ns = 0u64;
+    let mut warm_ns = 0u64;
     let mut warm_taken = 0usize;
     let mut warm_refactors = 0u64;
     let mut children = 0usize;
@@ -179,40 +146,34 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         }
 
         let t0 = Instant::now();
-        let d = dense.solve(&clb, &cub, &dense_child_opts);
-        let d_ns = t0.elapsed().as_nanos() as u64;
-
-        let t0 = Instant::now();
-        let c = sparse_cold.solve(&clb, &cub, &sparse_child_opts);
+        let c = cold.solve(&clb, &cub, &child_opts);
         let c_ns = t0.elapsed().as_nanos() as u64;
 
         let t0 = Instant::now();
-        let w = sparse.solve_warm(&clb, &cub, &sparse_child_opts, Some(&snapshot));
+        let w = warm.solve_warm(&clb, &cub, &child_opts, Some(&snapshot));
         let w_ns = t0.elapsed().as_nanos() as u64;
 
-        if !(definite(d.status) && definite(c.status) && definite(w.status)) {
+        if !(definite(c.status) && definite(w.status)) {
             eprintln!(
-                "  [{name}] child {i}: skipped (dense {:?}, sparse {:?}, warm {:?} \
-                 under the child iteration cap)",
-                d.status, c.status, w.status
+                "  [{name}] child {i}: skipped (cold {:?}, warm {:?} under the \
+                 child iteration cap)",
+                c.status, w.status
             );
             continue;
         }
-        // Definite answers must agree — Optimal-vs-Infeasible between any
-        // pair of (engine, restart) legs would be a soundness bug.
-        assert_eq!(d.status, c.status, "{name} child {i}: engine status split");
-        assert_eq!(d.status, w.status, "{name} child {i}: warm status split");
-        if d.status == LpStatus::Optimal {
+        // Definite answers must agree — Optimal-vs-Infeasible between the
+        // cold and the warm leg would be a soundness bug.
+        assert_eq!(c.status, w.status, "{name} child {i}: warm status split");
+        if c.status == LpStatus::Optimal {
             assert!(
-                (d.objective - w.objective).abs() < 1e-6,
-                "{name} child {i}: warm objective {} vs dense {}",
+                (c.objective - w.objective).abs() < 1e-6,
+                "{name} child {i}: warm objective {} vs cold {}",
                 w.objective,
-                d.objective
+                c.objective
             );
         }
-        dense_cold_ns += d_ns;
-        sparse_cold_ns += c_ns;
-        sparse_warm_ns += w_ns;
+        cold_ns += c_ns;
+        warm_ns += w_ns;
         if w.warm == WarmStart::Taken {
             warm_taken += 1;
         }
@@ -224,11 +185,9 @@ fn measure_loop(seed: u64, children_per_loop: usize) -> Row {
         name,
         ops,
         rows: model.num_constraints(),
-        root_dense_ns,
-        root_sparse_ns,
-        dense_cold_ns: dense_cold_ns / n,
-        sparse_cold_ns: sparse_cold_ns / n,
-        sparse_warm_ns: sparse_warm_ns / n,
+        root_ns,
+        cold_ns: cold_ns / n,
+        warm_ns: warm_ns / n,
         warm_taken,
         warm_refactors,
         children,
@@ -250,16 +209,8 @@ fn main() {
          {CHILDREN} simulated children each\n"
     );
     println!(
-        "{:<14} {:>4} {:>5} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "loop",
-        "ops",
-        "rows",
-        "dense-cold",
-        "sparse-cold",
-        "sparse-warm",
-        "node-spd",
-        "warm-hit",
-        "warm-rf"
+        "{:<14} {:>4} {:>5} {:>10} {:>12} {:>12} {:>8} {:>8} {:>8}",
+        "loop", "ops", "rows", "root", "cold", "warm", "warm-spd", "warm-hit", "warm-rf"
     );
 
     let rows: Vec<Row> = (0..LOOPS as u64)
@@ -267,47 +218,32 @@ fn main() {
         .collect();
     for r in &rows {
         println!(
-            "{:<14} {:>4} {:>5} {:>10.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x {:>6}/{} {:>8}",
+            "{:<14} {:>4} {:>5} {:>8.3}ms {:>10.3}ms {:>10.3}ms {:>7.2}x {:>6}/{} {:>8}",
             r.name,
             r.ops,
             r.rows,
-            r.dense_cold_ns as f64 / 1e6,
-            r.sparse_cold_ns as f64 / 1e6,
-            r.sparse_warm_ns as f64 / 1e6,
-            r.dense_cold_ns as f64 / r.sparse_warm_ns.max(1) as f64,
+            r.root_ns as f64 / 1e6,
+            r.cold_ns as f64 / 1e6,
+            r.warm_ns as f64 / 1e6,
+            r.cold_ns as f64 / r.warm_ns.max(1) as f64,
             r.warm_taken,
             r.children,
             r.warm_refactors
         );
     }
 
-    let node_speedup = geomean(
-        rows.iter()
-            .map(|r| r.dense_cold_ns as f64 / r.sparse_warm_ns.max(1) as f64),
-    );
-    let engine_speedup = geomean(
-        rows.iter()
-            .map(|r| r.dense_cold_ns as f64 / r.sparse_cold_ns.max(1) as f64),
-    );
     let warm_speedup = geomean(
         rows.iter()
-            .map(|r| r.sparse_cold_ns as f64 / r.sparse_warm_ns.max(1) as f64),
+            .map(|r| r.cold_ns as f64 / r.warm_ns.max(1) as f64),
     );
-    let root_speedup = geomean(
-        rows.iter()
-            .map(|r| r.root_dense_ns as f64 / r.root_sparse_ns.max(1) as f64),
-    );
-    println!("\ngeomean per-node re-solve speedup (dense cold -> sparse warm): {node_speedup:.2}x");
-    println!("geomean engine speedup (dense cold -> sparse cold):            {engine_speedup:.2}x");
-    println!("geomean warm-start speedup (sparse cold -> sparse warm):       {warm_speedup:.2}x");
-    println!("geomean root-solve speedup (dense -> sparse):                  {root_speedup:.2}x");
+    println!("\ngeomean per-node warm-start speedup (cold -> warm): {warm_speedup:.2}x");
 
-    if node_speedup < MIN_RATIO {
+    if warm_speedup < MIN_RATIO {
         eprintln!(
-            "FAIL: per-node re-solve speedup {node_speedup:.2}x is below the pinned \
+            "FAIL: per-node warm-start speedup {warm_speedup:.2}x is below the pinned \
              non-regression ratio {MIN_RATIO:.2}x"
         );
         std::process::exit(1);
     }
-    println!("\ngate: {node_speedup:.2}x >= {MIN_RATIO:.2}x — ok");
+    println!("\ngate: {warm_speedup:.2}x >= {MIN_RATIO:.2}x — ok");
 }

@@ -1270,20 +1270,6 @@ pub(crate) struct SparseBasis {
 }
 
 impl SparseBasis {
-    /// Fresh identity basis of dimension `m` (the initial slack basis).
-    pub(crate) fn identity(m: usize) -> Self {
-        let ones = vec![1.0; m];
-        SparseBasis {
-            m,
-            lu: LuFactor::diagonal(&ones),
-            lu_stamp: next_stamp(),
-            etas: EtaFile::default(),
-            work: vec![0.0; m],
-            rhs: vec![0.0; m],
-            scratch: LuScratch::default(),
-        }
-    }
-
     /// Resets to the identity basis of dimension `m`, reusing the scratch
     /// allocations where possible.
     pub(crate) fn reset_identity(&mut self, m: usize) {
@@ -1303,10 +1289,6 @@ impl SparseBasis {
     pub(crate) fn set_diag_sign(&mut self, i: usize, sign: f64) {
         self.lu.set_diag(i, sign);
         self.lu_stamp = next_stamp();
-    }
-
-    pub(crate) fn eta_count(&self) -> usize {
-        self.etas.len()
     }
 
     /// The current factor state, for a later [`SparseBasis::rollback`].
@@ -1368,8 +1350,7 @@ impl SparseBasis {
 
     /// Refactorizes from the column oracle. On success the eta file is
     /// cleared; on a singular basis the previous factor (including etas) is
-    /// kept so the caller can continue exactly like the dense path does when
-    /// its Gauss-Jordan rebuild bails.
+    /// kept, so the caller continues on the basis it had.
     pub(crate) fn refactor(
         &mut self,
         m: usize,
@@ -1393,6 +1374,14 @@ impl SparseBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The slack basis of dimension `m`, as a cold start installs it.
+    fn identity(m: usize) -> SparseBasis {
+        let mut sb = SparseBasis::default();
+        sb.reset_identity(m);
+        sb
+    }
 
     /// Dense reference: `cols[q]` is the dense basis column at position `q`.
     fn dense_cols(cols: &[Vec<f64>]) -> impl Fn(usize, &mut dyn FnMut(usize, f64)) + '_ {
@@ -1512,7 +1501,7 @@ mod tests {
         // column 0 with a' = (3, 0, 1)ᵀ; compare eta-updated solves against
         // a direct factorization of the final basis.
         let m = 3;
-        let mut sb = SparseBasis::identity(m);
+        let mut sb = identity(m);
         let a1 = [(0u32, 1.0), (1u32, 2.0), (2u32, 1.0)];
         let mut v = vec![0.0; m];
         sb.ftran_col(&a1, &mut v);
@@ -1551,29 +1540,29 @@ mod tests {
                 assert!((got[k] - want[k]).abs() < 1e-10, "btran {q}/{k}");
             }
         }
-        assert_eq!(sb.eta_count(), 2);
+        assert_eq!(sb.etas.len(), 2);
         assert!(sb.eta_nnz() > 0);
     }
 
     #[test]
     fn refactor_clears_eta_file_and_keeps_old_factor_on_singular() {
         let m = 2;
-        let mut sb = SparseBasis::identity(m);
+        let mut sb = identity(m);
         let a = [(0u32, 2.0), (1u32, 1.0)];
         let mut v = vec![0.0; m];
         sb.ftran_col(&a, &mut v);
         sb.push_eta(0, &v);
-        assert_eq!(sb.eta_count(), 1);
+        assert_eq!(sb.etas.len(), 1);
 
         // Singular refactor target: factor must refuse and keep the etas.
         let singular = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
         assert!(!sb.refactor(m, dense_cols(&singular)));
-        assert_eq!(sb.eta_count(), 1);
+        assert_eq!(sb.etas.len(), 1);
 
         // A good refactor clears them.
         let good = vec![vec![2.0, 1.0], vec![0.0, 1.0]];
         assert!(sb.refactor(m, dense_cols(&good)));
-        assert_eq!(sb.eta_count(), 0);
+        assert_eq!(sb.etas.len(), 0);
         assert_eq!(sb.eta_nnz(), 0);
     }
 
@@ -1613,7 +1602,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut sb = SparseBasis::identity(5);
+        let mut sb = identity(5);
         assert!(sb.refactor(5, dense_cols(&cols)));
         pivot_in(&mut sb, &[(0, 2.0), (2, -1.0), (4, 1.0)]);
         sb
@@ -1630,19 +1619,19 @@ mod tests {
         for k in 1..=CHILD_COLS.len() {
             let mut sb = parent_basis();
             let mark = sb.mark();
-            let (count, nnz) = (sb.eta_count(), sb.eta_nnz());
+            let (count, nnz) = (sb.etas.len(), sb.eta_nnz());
             let before = solve_bits(&mut sb);
             for col in &CHILD_COLS[..k] {
                 pivot_in(&mut sb, col);
             }
-            assert_eq!(sb.eta_count(), count + k);
+            assert_eq!(sb.etas.len(), count + k);
             assert_ne!(
                 solve_bits(&mut sb),
                 before,
                 "the pushed etas change the basis"
             );
             assert!(sb.rollback(mark), "a fresh mark must roll back");
-            assert_eq!((sb.eta_count(), sb.eta_nnz()), (count, nnz));
+            assert_eq!((sb.etas.len(), sb.eta_nnz()), (count, nnz));
             assert_eq!(solve_bits(&mut sb), before, "rollback after {k} etas");
             // Rolling back to where the basis already is changes nothing.
             assert!(sb.rollback(mark));
@@ -1676,7 +1665,7 @@ mod tests {
         let mark = sb.mark();
         assert!(sb.rollback(below));
         pivot_in(&mut sb, CHILD_COLS[0]);
-        assert_eq!(sb.eta_count(), below.etas + 1);
+        assert_eq!(sb.etas.len(), below.etas + 1);
         let state = solve_bits(&mut sb);
         assert!(!sb.rollback(mark), "mark survived a truncate and re-push");
         assert_eq!(
@@ -1874,7 +1863,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
 
         let mut rng = StdRng::seed_from_u64(0x5C2A);
-        let mut sb = SparseBasis::identity(1);
+        let mut sb = identity(1);
         let sizes = [12, 180, 40, 320, 7, 96, 250, 3, 150, 60];
         for (case, &m) in sizes.iter().enumerate() {
             let mut cols = structured_basis(&mut rng, m);
@@ -1928,5 +1917,346 @@ mod tests {
             "fill-in exploded: L {l_nnz}, U {u_nnz}"
         );
         check_solves(&cols);
+    }
+
+    /// Explicit dense basis inverse — the simplex's original engine, kept as
+    /// the reference [`SparseBasis`] is tested against.
+    #[derive(Debug, Clone, Default)]
+    struct DenseBasis {
+        m: usize,
+        binv: Vec<f64>,
+    }
+
+    impl DenseBasis {
+        fn reset_identity(&mut self, m: usize) {
+            self.m = m;
+            self.binv.clear();
+            self.binv.resize(m * m, 0.0);
+            for i in 0..m {
+                self.binv[i * m + i] = 1.0;
+            }
+        }
+
+        fn set_diag_sign(&mut self, i: usize, sign: f64) {
+            self.binv[i * self.m + i] = sign;
+        }
+
+        fn ftran_col(&self, entries: &[(u32, f64)], v: &mut [f64]) {
+            let m = self.m;
+            v.iter_mut().for_each(|x| *x = 0.0);
+            for &(i, a) in entries {
+                let col = i as usize;
+                for (k, vk) in v.iter_mut().enumerate() {
+                    *vk += self.binv[k * m + col] * a;
+                }
+            }
+        }
+
+        fn ftran_rhs(&self, rhs: &[f64], out: &mut [f64]) {
+            let m = self.m;
+            for (k, ok) in out.iter_mut().enumerate() {
+                let row = &self.binv[k * m..(k + 1) * m];
+                *ok = row.iter().zip(rhs).map(|(a, b)| a * b).sum();
+            }
+        }
+
+        fn btran(&self, c: &mut [f64], out: &mut [f64]) {
+            let m = self.m;
+            out.iter_mut().for_each(|x| *x = 0.0);
+            for (k, &ck) in c.iter().enumerate() {
+                if ck != 0.0 {
+                    let row = &self.binv[k * m..(k + 1) * m];
+                    for (oi, ri) in out.iter_mut().zip(row) {
+                        *oi += ck * ri;
+                    }
+                }
+            }
+        }
+
+        fn btran_unit(&self, r: usize, out: &mut [f64]) {
+            let m = self.m;
+            out.copy_from_slice(&self.binv[r * m..(r + 1) * m]);
+        }
+
+        /// Gauss-Jordan rank-1 update of the inverse after a pivot on `row`
+        /// with transformed column `v`.
+        fn pivot(&mut self, row: usize, v: &[f64]) {
+            let m = self.m;
+            let inv_piv = 1.0 / v[row];
+            for c in 0..m {
+                self.binv[row * m + c] *= inv_piv;
+            }
+            let (before, rest) = self.binv.split_at_mut(row * m);
+            let (pivot_row, after) = rest.split_at_mut(m);
+            for (k, chunk) in before.chunks_exact_mut(m).enumerate() {
+                let f = v[k];
+                if f.abs() > ELIM_SKIP_TOL {
+                    for (x, pr) in chunk.iter_mut().zip(pivot_row.iter()) {
+                        *x -= f * pr;
+                    }
+                }
+            }
+            for (k, chunk) in after.chunks_exact_mut(m).enumerate() {
+                let f = v[row + 1 + k];
+                if f.abs() > ELIM_SKIP_TOL {
+                    for (x, pr) in chunk.iter_mut().zip(pivot_row.iter()) {
+                        *x -= f * pr;
+                    }
+                }
+            }
+        }
+
+        /// Rebuilds the inverse from the basis columns by Gauss-Jordan
+        /// elimination. Returns false (keeping the old inverse) on a
+        /// numerically singular basis.
+        #[allow(clippy::needless_range_loop)] // dense Gauss-Jordan indexing
+        fn refactor(&mut self, m: usize, col: impl Fn(usize, &mut dyn FnMut(usize, f64))) -> bool {
+            let mut bmat = vec![0.0; m * m];
+            for q in 0..m {
+                col(q, &mut |i, a| bmat[i * m + q] = a);
+            }
+            let mut inv = vec![0.0; m * m];
+            for i in 0..m {
+                inv[i * m + i] = 1.0;
+            }
+            for c0 in 0..m {
+                let mut piv = c0;
+                for r in c0 + 1..m {
+                    if bmat[r * m + c0].abs() > bmat[piv * m + c0].abs() {
+                        piv = r;
+                    }
+                }
+                if bmat[piv * m + c0].abs() < SINGULAR_TOL {
+                    return false;
+                }
+                if piv != c0 {
+                    for c in 0..m {
+                        bmat.swap(piv * m + c, c0 * m + c);
+                        inv.swap(piv * m + c, c0 * m + c);
+                    }
+                }
+                let d = 1.0 / bmat[c0 * m + c0];
+                for c in 0..m {
+                    bmat[c0 * m + c] *= d;
+                    inv[c0 * m + c] *= d;
+                }
+                for r in 0..m {
+                    if r == c0 {
+                        continue;
+                    }
+                    let f = bmat[r * m + c0];
+                    if f == 0.0 {
+                        continue;
+                    }
+                    for c in 0..m {
+                        bmat[r * m + c] -= f * bmat[c0 * m + c];
+                        inv[r * m + c] -= f * inv[c0 * m + c];
+                    }
+                }
+            }
+            self.m = m;
+            self.binv = inv;
+            true
+        }
+    }
+
+    /// One step of a basis history, as the simplex drives one.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Refactorize a structured basis drawn from this seed. Singular
+        /// ones included: both sides must refuse and keep what they had.
+        Refactor(u64),
+        /// Pivot a column drawn from this seed in, as one eta.
+        Pivot(u64),
+        /// Take a mark.
+        Mark,
+        /// Roll back to the mark with this index, modulo the marks taken.
+        Rollback(usize),
+        /// Reset to the slack basis, as a cold start does, and give one
+        /// diagonal a phase-1 artificial's sign (diagonal and sign drawn
+        /// from the index).
+        Reset(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u64..1 << 32).prop_map(Step::Refactor),
+            (0u64..1 << 32).prop_map(Step::Pivot),
+            (0u64..1 << 32).prop_map(Step::Pivot),
+            (0u64..1 << 32).prop_map(Step::Pivot),
+            Just(Step::Mark),
+            (0usize..8).prop_map(Step::Rollback),
+            (0usize..64).prop_map(Step::Reset),
+        ]
+    }
+
+    /// A mark as the oracle sees it: the factor it was taken on (counted
+    /// by the oracle), its eta count, and the step that pushed its top eta.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct OracleMark {
+        factor: usize,
+        etas: usize,
+        top: Option<usize>,
+    }
+
+    /// The dense side of a history: the inverse, the inverse after each
+    /// eta on the current factor (a rollback restores one), and the step
+    /// that pushed each eta, from which the oracle decides on its own which
+    /// marks a rollback must accept.
+    struct DenseHistory {
+        dense: DenseBasis,
+        after_eta: Vec<DenseBasis>,
+        pushed_by: Vec<usize>,
+        factor: usize,
+    }
+
+    impl DenseHistory {
+        fn new_factor(&mut self) {
+            self.factor += 1;
+            self.after_eta = vec![self.dense.clone()];
+            self.pushed_by.clear();
+        }
+
+        fn mark(&self) -> OracleMark {
+            OracleMark {
+                factor: self.factor,
+                etas: self.pushed_by.len(),
+                top: self.pushed_by.last().copied(),
+            }
+        }
+
+        fn rollback(&mut self, mark: OracleMark) -> bool {
+            let ok = mark.factor == self.factor
+                && mark.etas <= self.pushed_by.len()
+                && self.pushed_by[..mark.etas].last().copied() == mark.top;
+            if ok {
+                self.dense = self.after_eta[mark.etas].clone();
+                self.after_eta.truncate(mark.etas + 1);
+                self.pushed_by.truncate(mark.etas);
+            }
+            ok
+        }
+    }
+
+    /// Every column of `B⁻¹` through `ftran_col` and `ftran_rhs`, and every
+    /// row through `btran`, against the dense inverse.
+    fn same_inverse(sb: &mut SparseBasis, dense: &DenseBasis) -> Result<(), String> {
+        let m = dense.m;
+        let (mut got, mut want) = (vec![0.0; m], vec![0.0; m]);
+        let close = |what: &str, k: usize, got: &[f64], want: &[f64]| {
+            let scale = want.iter().fold(1.0_f64, |a, x| a.max(x.abs()));
+            match (0..m).find(|&i| (got[i] - want[i]).abs() > 1e-9 * scale) {
+                Some(i) => Err(format!(
+                    "{what} of e_{k}, entry {i}: sparse {} vs dense {}",
+                    got[i], want[i]
+                )),
+                None => Ok(()),
+            }
+        };
+        for k in 0..m {
+            let mut unit = vec![0.0; m];
+            unit[k] = 1.0;
+            dense.ftran_col(&[(k as u32, 1.0)], &mut want);
+            sb.ftran_col(&[(k as u32, 1.0)], &mut got);
+            close("ftran_col", k, &got, &want)?;
+            dense.ftran_rhs(&unit, &mut want);
+            sb.ftran_rhs(&unit, &mut got);
+            close("ftran_rhs", k, &got, &want)?;
+            dense.btran(&mut unit.clone(), &mut want);
+            sb.btran(&mut unit.clone(), &mut got);
+            close("btran", k, &got, &want)?;
+            dense.btran_unit(k, &mut want);
+            close("btran (unit row)", k, &got, &want)?;
+        }
+        Ok(())
+    }
+
+    /// An entering column: one to four entries of ±1, now and then ±`II`.
+    fn entering_column(seed: u64, m: usize) -> Vec<(u32, f64)> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ii = rng.gen_range(2..=12) as f64;
+        let mut col: Vec<(u32, f64)> = Vec::new();
+        for _ in 0..rng.gen_range(1..=4) {
+            let i = rng.gen_range(0..m) as u32;
+            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let mag = if rng.gen_bool(0.1) { ii } else { 1.0 };
+            if !col.iter().any(|&(r, _)| r == i) {
+                col.push((i, sign * mag));
+            }
+        }
+        col
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SparseBasis` against the dense inverse through random
+        /// histories of refactorizations (of `structured_basis` matrices),
+        /// eta pivots, marks, rollbacks and slack resets: both must agree
+        /// on every FTRAN and BTRAN after every step, on which bases are
+        /// singular, and on which marks a rollback accepts.
+        #[test]
+        fn dense_oracle_matches_sparse_basis(
+            m in 3usize..=30,
+            steps in proptest::collection::vec(step(), 1..=40),
+        ) {
+            use rand::{rngs::StdRng, SeedableRng};
+            let mut sb = identity(m);
+            let mut dense = DenseBasis::default();
+            dense.reset_identity(m);
+            let mut oracle = DenseHistory {
+                after_eta: vec![dense.clone()],
+                dense,
+                pushed_by: Vec::new(),
+                factor: 0,
+            };
+            let mut marks = Vec::new();
+            for (n, &step) in steps.iter().enumerate() {
+                match step {
+                    Step::Refactor(seed) => {
+                        let cols = structured_basis(&mut StdRng::seed_from_u64(seed), m);
+                        let want = oracle.dense.refactor(m, dense_cols(&cols));
+                        prop_assert_eq!(sb.refactor(m, dense_cols(&cols)), want, "step {}", n);
+                        if want {
+                            oracle.new_factor();
+                        }
+                    }
+                    Step::Pivot(seed) => {
+                        let col = entering_column(seed, m);
+                        let mut v = vec![0.0; m];
+                        oracle.dense.ftran_col(&col, &mut v);
+                        let r = (0..m)
+                            .max_by(|&a, &b| v[a].abs().total_cmp(&v[b].abs()))
+                            .expect("m > 0");
+                        if v[r].abs() < 1e-3 {
+                            continue; // the column is (nearly) in the basis' span
+                        }
+                        let mut vs = vec![0.0; m];
+                        sb.ftran_col(&col, &mut vs);
+                        sb.push_eta(r, &vs);
+                        oracle.dense.pivot(r, &v);
+                        oracle.after_eta.push(oracle.dense.clone());
+                        oracle.pushed_by.push(n);
+                    }
+                    Step::Mark => marks.push((sb.mark(), oracle.mark())),
+                    Step::Rollback(i) => {
+                        if let Some(&(mark, want)) = marks.get(i % marks.len().max(1)) {
+                            prop_assert_eq!(sb.rollback(mark), oracle.rollback(want), "step {}", n);
+                        }
+                    }
+                    Step::Reset(i) => {
+                        let (diag, sign) = ((i / 2) % m, if i % 2 == 0 { -1.0 } else { 1.0 });
+                        sb.reset_identity(m);
+                        sb.set_diag_sign(diag, sign);
+                        oracle.dense.reset_identity(m);
+                        oracle.dense.set_diag_sign(diag, sign);
+                        oracle.new_factor();
+                    }
+                }
+                prop_assert_eq!(sb.etas.len(), oracle.pushed_by.len(), "step {}", n);
+                same_inverse(&mut sb, &oracle.dense).map_err(|e| format!("step {n} {step:?}: {e}"))?;
+            }
+        }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! This crate implements the solver substrate needed to reproduce
 //! *"Efficient Formulation for Optimal Modulo Schedulers"* (Eichenberger &
-//! Davidson, PLDI 1997): a dense bounded-variable primal simplex method and a
-//! depth-first branch-and-bound search. The paper evaluates formulations by
+//! Davidson, PLDI 1997): a bounded-variable revised simplex method over a
+//! sparse LU basis, with warm-started dual re-solves, and a depth-first
+//! branch-and-bound search. The paper evaluates formulations by
 //! the number of **branch-and-bound nodes** and **simplex iterations** a
 //! solver needs; both statistics are first-class citizens here (see
 //! [`SolveStats`]).

@@ -1,4 +1,4 @@
-//! Bounded-variable revised simplex with pluggable basis representations.
+//! Bounded-variable revised simplex over a sparse LU basis.
 //!
 //! The implementation follows the classic two-phase revised simplex method
 //! for problems of the form
@@ -14,36 +14,31 @@
 //! cannot absorb the initial residual. Nonbasic variables rest at one of
 //! their bounds (or at 0 when free); the ratio test supports bound flips.
 //!
-//! Two interchangeable basis engines back the linear algebra
-//! ([`SimplexEngine`], selectable per solve or via `OPTIMOD_SIMPLEX`):
-//!
-//! * **Sparse** (default): a sparse LU factorization of the basis with
-//!   Markowitz pivot selection and threshold partial pivoting, triangular
-//!   FTRAN/BTRAN solves, and product-form eta updates between periodic
-//!   refactorizations (see [`crate::factor`]). On the 0-1-structured
-//!   scheduling bases this makes an iteration cost O(nnz) instead of O(m²).
-//! * **Dense**: the original explicit dense inverse, kept bit-for-bit as a
-//!   differential-testing oracle for the sparse path.
+//! The basis is a sparse LU factorization with Markowitz pivot selection
+//! and threshold partial pivoting, triangular FTRAN/BTRAN solves, and
+//! product-form eta updates between refactorizations (see
+//! [`crate::factor`]). On the 0-1-structured scheduling bases this makes an
+//! iteration cost O(nnz) instead of the O(m²) of an explicit inverse.
 //!
 //! Branch-and-bound re-solves are warm-started: [`Simplex::basis_snapshot`]
 //! captures the optimal basis of a parent node as a cheap [`Basis`] value,
 //! and [`Simplex::solve_warm`] restores it in a child (after a single bound
 //! change) and runs a bounded **dual simplex** until primal feasibility is
 //! restored — typically a handful of pivots instead of a full two-phase
-//! solve. Under the sparse engine the snapshot also records a factor mark,
-//! and a child solved by the same `Simplex` returns to the parent's factor
-//! by truncating the eta file back to that mark instead of refactorizing;
-//! a stale or foreign mark falls back to refactorizing the snapshot basis.
+//! solve. The snapshot also records a factor mark, and a child solved by
+//! the same `Simplex` returns to the parent's factor by truncating the eta
+//! file back to that mark instead of refactorizing; a stale or foreign mark
+//! falls back to refactorizing the snapshot basis.
 //! The dual loop prices its leaving row by Devex weights, computes the duals
 //! once and then updates them from each pivot row. A warm start that goes
 //! wrong (singular refactorization, pivot cap) is abandoned for the ordinary
 //! cold start, never failed.
 //!
 //! Numerical robustness: primal Dantzig pricing with a Bland's-rule
-//! fallback after a run of degenerate pivots, periodic refactorization on a
-//! tunable cadence, an eta-file growth bound, and a residual check at claimed
-//! optimality. The watchdog thresholds are [`SimplexOptions`] fields so
-//! tests can tighten them without recompiling.
+//! fallback after a run of degenerate pivots, an eta-file growth bound that
+//! triggers refactorization, a stall watchdog, and a residual check at
+//! claimed optimality. The watchdog thresholds are [`SimplexOptions`]
+//! fields so tests can tighten them without recompiling.
 //!
 //! Branch-and-bound solves thousands of closely related LPs, so the solver
 //! keeps all working storage (basis factors, pricing and right-hand-side
@@ -56,8 +51,8 @@ use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::model::{Model, RowSense, Sense};
 use crate::stop::StopFlag;
 use crate::tol::{
-    ARTIFICIAL_PIVOT_TOL, DEGEN_STEP_TOL, ELIM_SKIP_TOL, FEAS_TOL, OPT_TOL, PHASE1_INFEAS_TOL,
-    PIVOT_TOL, RATIO_TIE_TOL, RESIDUAL_TOL, SINGULAR_TOL,
+    ARTIFICIAL_PIVOT_TOL, DEGEN_STEP_TOL, FEAS_TOL, OPT_TOL, PHASE1_INFEAS_TOL, PIVOT_TOL,
+    RATIO_TIE_TOL, RESIDUAL_TOL,
 };
 
 /// Outcome status of a single LP solve.
@@ -102,24 +97,22 @@ impl WarmStart {
     }
 }
 
-/// Which linear-algebra engine backs the basis.
+/// The linear algebra that backs the basis: a sparse LU factorization with
+/// product-form eta updates, the only engine there is. The type and
+/// [`SimplexEngine::from_env`] remain only because the benchmark harness
+/// prints the engine in its output header; both go when that harness
+/// stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimplexEngine {
-    /// Explicit dense basis inverse (the differential-testing oracle).
-    Dense,
-    /// Sparse LU factorization with product-form eta updates (default).
+    /// Sparse LU factorization with product-form eta updates.
     Sparse,
 }
 
 impl SimplexEngine {
-    /// Reads `OPTIMOD_SIMPLEX` (`dense` | `sparse`); anything else — or an
-    /// unset variable — selects the sparse engine. Read on every call so a
-    /// test can flip the variable between solves within one process.
+    /// The engine every solve runs: [`SimplexEngine::Sparse`]. No
+    /// environment variable is read.
     pub fn from_env() -> Self {
-        match std::env::var("OPTIMOD_SIMPLEX").ok().as_deref() {
-            Some("dense") => SimplexEngine::Dense,
-            _ => SimplexEngine::Sparse,
-        }
+        SimplexEngine::Sparse
     }
 }
 
@@ -129,16 +122,16 @@ impl SimplexEngine {
 /// can cross work-stealing worker threads untouched. The mark only names
 /// the sparse factor the basis had when it was taken: a child solved by the
 /// same [`Simplex`] rolls its eta file back to it, and any other child
-/// (another worker, the dense engine, a factor rebuilt since) refactorizes
-/// the basis on installation.
+/// (another worker, a factor rebuilt since) refactorizes the basis on
+/// installation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// `basis[k]` = column (structural or slack) basic in row `k`.
     basis: Vec<u32>,
     /// Rest side of every nonbasic column (indexed by column).
     at_upper: Vec<bool>,
-    /// Sparse factor state at the snapshot; `None` unless the solve ended
-    /// `Optimal` under the sparse engine.
+    /// Factor state at the snapshot; `None` unless the solve ended
+    /// `Optimal`.
     mark: Option<FactorMark>,
 }
 
@@ -163,12 +156,13 @@ pub struct LpOutcome {
     /// Simplex iterations (primal and dual pivots, bound flips) performed
     /// by this solve.
     pub iterations: u64,
-    /// Basis (re)factorizations performed by this solve (scheduled rebuilds,
-    /// watchdog-forced ones, and warm-start installations that could not
-    /// roll back to the parent's factor).
+    /// Basis (re)factorizations performed by this solve (eta-file budget
+    /// rebuilds, watchdog-forced ones, residual-check repairs, and
+    /// warm-start installations that could not roll back to the parent's
+    /// factor).
     pub refactors: u64,
-    /// Product-form eta updates absorbed by the sparse engine (0 under the
-    /// dense engine).
+    /// Product-form eta updates absorbed by the basis (one per
+    /// basis-changing pivot).
     pub eta_pivots: u64,
     /// Whether this solve reused a parent basis.
     pub warm: WarmStart,
@@ -200,13 +194,6 @@ pub struct SimplexOptions {
     /// Deterministic fault injection ([`FaultSite::SimplexPivot`] fires one
     /// hit per pivot-loop iteration, primal or dual). Disabled by default.
     pub fault: FaultPlan,
-    /// Basis engine; defaults to [`SimplexEngine::from_env`].
-    pub engine: SimplexEngine,
-    /// Refactorize the basis after this many pivots (default 400). Under the
-    /// sparse engine the eta-file budget ([`SimplexOptions::eta_nnz_limit`])
-    /// is usually reached first: on structured bases each eta is dense, so
-    /// the file outgrows the budget long before 400 pivots.
-    pub refactor_every: u64,
     /// Consecutive degenerate pivots before switching to Bland's rule
     /// (default 60).
     pub degen_limit: u32,
@@ -214,16 +201,8 @@ pub struct SimplexOptions {
     /// refactorization — a drifted basis representation can fake degeneracy
     /// (default 2 000).
     pub stall_refactor: u32,
-    /// Degenerate-pivot streak at which the solve is abandoned as
-    /// numerically unstable ([`LpStatus::Stalled`]). Bland's rule
-    /// terminates in exact arithmetic, so a streak this long under Bland's
-    /// pricing means floating point is cycling; burning the rest of a
-    /// branch-and-bound budget on one LP would be worse than reporting the
-    /// stall (default 50 000).
-    pub stall_abort: u32,
-    /// Force a refactorization once the sparse engine's eta file holds this
-    /// many stored entries; `0` picks `16·m + 1024` at solve time. Ignored
-    /// by the dense engine.
+    /// Force a refactorization once the eta file holds this many stored
+    /// entries; `0` picks `16·m + 1024` at solve time.
     pub eta_nnz_limit: usize,
     /// Allow [`Simplex::solve_warm`] to restart from a parent basis
     /// (default true). When false a provided snapshot is ignored and the
@@ -241,17 +220,21 @@ impl Default for SimplexOptions {
             deadline: None,
             stop: StopFlag::new(),
             fault: FaultPlan::none(),
-            engine: SimplexEngine::from_env(),
-            refactor_every: 400,
             degen_limit: 60,
             stall_refactor: 2_000,
-            stall_abort: 50_000,
             eta_nnz_limit: 0,
             warm_start: true,
             warm_pivot_cap: 1_000,
         }
     }
 }
+
+/// Degenerate-pivot streak at which the solve is abandoned as numerically
+/// unstable ([`LpStatus::Stalled`]). Bland's rule terminates in exact
+/// arithmetic, so a streak this long under Bland's pricing means floating
+/// point is cycling; burning the rest of a branch-and-bound budget on one LP
+/// would be worse than reporting the stall.
+const STALL_ABORT: u32 = 50_000;
 
 impl SimplexOptions {
     fn eta_cap(&self, m: usize) -> usize {
@@ -280,205 +263,6 @@ struct Problem {
     maximize: bool,
 }
 
-/// Explicit dense basis inverse — the original engine, preserved as the
-/// differential-testing oracle for the sparse path.
-#[derive(Debug, Clone, Default)]
-struct DenseBasis {
-    m: usize,
-    binv: Vec<f64>,
-}
-
-impl DenseBasis {
-    fn reset_identity(&mut self, m: usize) {
-        self.m = m;
-        self.binv.clear();
-        self.binv.resize(m * m, 0.0);
-        for i in 0..m {
-            self.binv[i * m + i] = 1.0;
-        }
-    }
-
-    fn set_diag_sign(&mut self, i: usize, sign: f64) {
-        self.binv[i * self.m + i] = sign;
-    }
-
-    fn ftran_col(&self, entries: &[(u32, f64)], v: &mut [f64]) {
-        let m = self.m;
-        v.iter_mut().for_each(|x| *x = 0.0);
-        for &(i, a) in entries {
-            let col = i as usize;
-            for (k, vk) in v.iter_mut().enumerate() {
-                *vk += self.binv[k * m + col] * a;
-            }
-        }
-    }
-
-    fn ftran_rhs(&self, rhs: &[f64], out: &mut [f64]) {
-        let m = self.m;
-        for (k, ok) in out.iter_mut().enumerate() {
-            let row = &self.binv[k * m..(k + 1) * m];
-            *ok = row.iter().zip(rhs).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    fn btran(&self, c: &mut [f64], out: &mut [f64]) {
-        let m = self.m;
-        out.iter_mut().for_each(|x| *x = 0.0);
-        for (k, &ck) in c.iter().enumerate() {
-            if ck != 0.0 {
-                let row = &self.binv[k * m..(k + 1) * m];
-                for (oi, ri) in out.iter_mut().zip(row) {
-                    *oi += ck * ri;
-                }
-            }
-        }
-    }
-
-    fn btran_unit(&self, r: usize, out: &mut [f64]) {
-        let m = self.m;
-        out.copy_from_slice(&self.binv[r * m..(r + 1) * m]);
-    }
-
-    /// Gauss-Jordan rank-1 update of the inverse after a pivot on `row`
-    /// with transformed column `v`.
-    fn pivot(&mut self, row: usize, v: &[f64]) {
-        let m = self.m;
-        let inv_piv = 1.0 / v[row];
-        for c in 0..m {
-            self.binv[row * m + c] *= inv_piv;
-        }
-        let (before, rest) = self.binv.split_at_mut(row * m);
-        let (pivot_row, after) = rest.split_at_mut(m);
-        for (k, chunk) in before.chunks_exact_mut(m).enumerate() {
-            let f = v[k];
-            if f.abs() > ELIM_SKIP_TOL {
-                for (x, pr) in chunk.iter_mut().zip(pivot_row.iter()) {
-                    *x -= f * pr;
-                }
-            }
-        }
-        for (k, chunk) in after.chunks_exact_mut(m).enumerate() {
-            let f = v[row + 1 + k];
-            if f.abs() > ELIM_SKIP_TOL {
-                for (x, pr) in chunk.iter_mut().zip(pivot_row.iter()) {
-                    *x -= f * pr;
-                }
-            }
-        }
-    }
-
-    /// Rebuilds the inverse from the basis columns by Gauss-Jordan
-    /// elimination. Returns false (keeping the old inverse) on a
-    /// numerically singular basis.
-    #[allow(clippy::needless_range_loop)] // dense Gauss-Jordan indexing
-    fn refactor(&mut self, m: usize, col: impl Fn(usize, &mut dyn FnMut(usize, f64))) -> bool {
-        let mut bmat = vec![0.0; m * m];
-        for q in 0..m {
-            col(q, &mut |i, a| bmat[i * m + q] = a);
-        }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for c0 in 0..m {
-            let mut piv = c0;
-            for r in c0 + 1..m {
-                if bmat[r * m + c0].abs() > bmat[piv * m + c0].abs() {
-                    piv = r;
-                }
-            }
-            if bmat[piv * m + c0].abs() < SINGULAR_TOL {
-                return false;
-            }
-            if piv != c0 {
-                for c in 0..m {
-                    bmat.swap(piv * m + c, c0 * m + c);
-                    inv.swap(piv * m + c, c0 * m + c);
-                }
-            }
-            let d = 1.0 / bmat[c0 * m + c0];
-            for c in 0..m {
-                bmat[c0 * m + c] *= d;
-                inv[c0 * m + c] *= d;
-            }
-            for r in 0..m {
-                if r == c0 {
-                    continue;
-                }
-                let f = bmat[r * m + c0];
-                if f == 0.0 {
-                    continue;
-                }
-                for c in 0..m {
-                    bmat[r * m + c] -= f * bmat[c0 * m + c];
-                    inv[r * m + c] -= f * inv[c0 * m + c];
-                }
-            }
-        }
-        self.m = m;
-        self.binv = inv;
-        true
-    }
-}
-
-/// The pluggable linear-algebra backend.
-#[derive(Debug, Clone)]
-enum Engine {
-    Dense(DenseBasis),
-    Sparse(Box<SparseBasis>),
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::Dense(DenseBasis::default())
-    }
-}
-
-impl Engine {
-    /// Resets to the identity (slack) basis of dimension `m`, switching
-    /// representations if the options ask for the other engine. Reuses the
-    /// existing allocation when the kind matches.
-    fn reset(&mut self, kind: SimplexEngine, m: usize) {
-        match (&mut *self, kind) {
-            (Engine::Dense(d), SimplexEngine::Dense) => d.reset_identity(m),
-            (Engine::Sparse(s), SimplexEngine::Sparse) => s.reset_identity(m),
-            (slot, SimplexEngine::Dense) => {
-                let mut d = DenseBasis::default();
-                d.reset_identity(m);
-                *slot = Engine::Dense(d);
-            }
-            (slot, SimplexEngine::Sparse) => {
-                *slot = Engine::Sparse(Box::new(SparseBasis::identity(m)));
-            }
-        }
-    }
-
-    /// Switches to the engine `kind` asks for without building a basis:
-    /// for a caller that refactorizes next.
-    fn select(&mut self, kind: SimplexEngine) {
-        match (&*self, kind) {
-            (Engine::Dense(_), SimplexEngine::Dense)
-            | (Engine::Sparse(_), SimplexEngine::Sparse) => {}
-            (_, SimplexEngine::Dense) => *self = Engine::Dense(DenseBasis::default()),
-            (_, SimplexEngine::Sparse) => *self = Engine::Sparse(Box::default()),
-        }
-    }
-
-    fn set_diag_sign(&mut self, i: usize, sign: f64) {
-        match self {
-            Engine::Dense(d) => d.set_diag_sign(i, sign),
-            Engine::Sparse(s) => s.set_diag_sign(i, sign),
-        }
-    }
-
-    fn eta_nnz(&self) -> usize {
-        match self {
-            Engine::Dense(_) => 0,
-            Engine::Sparse(s) => s.eta_nnz(),
-        }
-    }
-}
-
 /// Reusable per-solve state. Indices `0..n` are structural + slack columns;
 /// `n..n+arts` are artificial columns (single signed entry each).
 #[derive(Debug, Clone, Default)]
@@ -491,7 +275,8 @@ struct Work {
     art_sign: Vec<f64>,
     basis: Vec<u32>,
     xb: Vec<f64>,
-    engine: Engine,
+    /// The basis representation: LU factor plus eta file.
+    lu: SparseBasis,
     /// Pricing buffer `y = c_B' B^{-1}`.
     y: Vec<f64>,
     /// Transformed entering column `v = B^{-1} A_j`.
@@ -511,7 +296,6 @@ struct Work {
     /// Phase cost vector (resized as artificials appear).
     cost: Vec<f64>,
     iterations: u64,
-    pivots_since_refactor: u64,
     degen_streak: u32,
     refactors: u64,
     eta_pivots: u64,
@@ -665,7 +449,7 @@ impl Simplex {
         }
 
         init_work(p, &mut self.w, lb, ub);
-        self.w.engine.reset(opts.engine, p.m);
+        self.w.lu.reset_identity(p.m);
         if let Some(outcome) = phase1(p, &mut self.w, opts) {
             return outcome;
         }
@@ -676,21 +460,17 @@ impl Simplex {
     /// Captures the current basis for reuse by a child node, or `None` when
     /// the basis is not reusable (no solve happened yet, or an artificial
     /// column is still basic after a degenerate phase 1). After an
-    /// `Optimal` sparse solve the snapshot also marks the current factor,
+    /// `Optimal` solve the snapshot also marks the current factor,
     /// so a child solved here can return to it without refactorizing.
     pub fn basis_snapshot(&self) -> Option<Basis> {
         let (p, w) = (&self.p, &self.w);
         if w.basis.len() != p.m || w.basis.iter().any(|&bv| bv as usize >= p.n) {
             return None;
         }
-        let mark = match &w.engine {
-            Engine::Sparse(s) if w.optimal => Some(s.mark()),
-            _ => None,
-        };
         Some(Basis {
             basis: w.basis.clone(),
             at_upper: w.at_upper[..p.n].to_vec(),
-            mark,
+            mark: w.optimal.then(|| w.lu.mark()),
         })
     }
 }
@@ -766,7 +546,6 @@ fn init_work(p: &Problem, w: &mut Work, lb: &[f64], ub: &[f64]) {
     w.rho.resize(m, 0.0);
     w.cb.clear();
     w.cb.resize(m, 0.0);
-    w.pivots_since_refactor = 0;
     w.degen_streak = 0;
 }
 
@@ -819,7 +598,7 @@ fn phase1(p: &Problem, w: &mut Work, opts: &SimplexOptions) -> Option<LpOutcome>
             let aj = p.n + w.art_row.len();
             // The artificial column is sign(rem) * e_i; the (still
             // diagonal) basis representation carries the same sign.
-            w.engine.set_diag_sign(i, rem.signum());
+            w.lu.set_diag_sign(i, rem.signum());
             w.art_row.push(i as u32);
             w.art_sign.push(rem.signum());
             w.lb.push(0.0);
@@ -941,7 +720,7 @@ fn pivot_out_artificials(p: &Problem, w: &mut Work) {
             compute_column(p, w, j);
             let enter_val = nb_value(w, j);
             let v = std::mem::take(&mut w.v);
-            apply_pivot(p, w, row, j, &v, enter_val);
+            apply_pivot(w, row, j, &v, enter_val);
             w.v = v;
         }
     }
@@ -962,10 +741,7 @@ fn gather_col(p: &Problem, w: &mut Work, j: usize) {
 fn compute_column(p: &Problem, w: &mut Work, j: usize) {
     gather_col(p, w, j);
     let t0 = std::time::Instant::now();
-    match &mut w.engine {
-        Engine::Dense(d) => d.ftran_col(&w.colbuf, &mut w.v),
-        Engine::Sparse(s) => s.ftran_col(&w.colbuf, &mut w.v),
-    }
+    w.lu.ftran_col(&w.colbuf, &mut w.v);
     w.ftran_nanos += t0.elapsed().as_nanos() as u64;
 }
 
@@ -975,31 +751,42 @@ fn btran_cb(w: &mut Work, cost: &[f64]) {
         w.cb[k] = cost[bv as usize];
     }
     let t0 = std::time::Instant::now();
-    match &mut w.engine {
-        Engine::Dense(d) => d.btran(&mut w.cb, &mut w.y),
-        Engine::Sparse(s) => s.btran(&mut w.cb, &mut w.y),
-    }
+    w.lu.btran(&mut w.cb, &mut w.y);
     w.btran_nanos += t0.elapsed().as_nanos() as u64;
 }
 
 /// Fills `w.rho = e_r' B^{-1}` (row `r` of the basis inverse).
 fn btran_unit(w: &mut Work, r: usize) {
     let t0 = std::time::Instant::now();
-    match &mut w.engine {
-        Engine::Dense(d) => d.btran_unit(r, &mut w.rho),
-        Engine::Sparse(s) => {
-            w.cb.iter_mut().for_each(|x| *x = 0.0);
-            w.cb[r] = 1.0;
-            s.btran(&mut w.cb, &mut w.rho);
-        }
-    }
+    w.cb.iter_mut().for_each(|x| *x = 0.0);
+    w.cb[r] = 1.0;
+    w.lu.btran(&mut w.cb, &mut w.rho);
     w.btran_nanos += t0.elapsed().as_nanos() as u64;
 }
 
-/// True when the engine's pending-update state asks for an out-of-cycle
-/// refactorization (sparse eta file outgrew its budget).
-fn refactor_due(w: &Work, opts: &SimplexOptions, m: usize) -> bool {
-    w.pivots_since_refactor >= opts.refactor_every || w.engine.eta_nnz() >= opts.eta_cap(m)
+/// The checks every pivot-loop iteration, primal or dual, makes before it
+/// prices: the iteration cap, then (amortized over 256 iterations) the stop
+/// flag and the deadline, then one hit of the [`FaultSite::SimplexPivot`]
+/// fault site. `Some` is the status to stop with. An injected stall takes
+/// the watchdog's abandon path, a spurious timeout the deadline path, and a
+/// panic unwinds from inside `fire` itself.
+fn checkpoint(w: &Work, opts: &SimplexOptions) -> Option<LpStatus> {
+    if w.iterations >= opts.max_iterations {
+        return Some(LpStatus::IterLimit);
+    }
+    if w.iterations.is_multiple_of(256)
+        && (opts.stop.is_stopped()
+            || opts
+                .deadline
+                .is_some_and(|deadline| std::time::Instant::now() >= deadline))
+    {
+        return Some(LpStatus::IterLimit);
+    }
+    match opts.fault.fire(FaultSite::SimplexPivot)? {
+        FaultAction::Stall => Some(LpStatus::Stalled),
+        FaultAction::SpuriousTimeout => Some(LpStatus::IterLimit),
+        FaultAction::Panic | FaultAction::PerturbIncumbent => None,
+    }
 }
 
 /// Core primal simplex loop minimizing `cost` from the current basis.
@@ -1007,32 +794,10 @@ fn refactor_due(w: &Work, opts: &SimplexOptions, m: usize) -> bool {
 fn optimize(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) -> LpStatus {
     let m = p.m;
     loop {
-        if w.iterations >= opts.max_iterations {
-            return LpStatus::IterLimit;
+        if let Some(status) = checkpoint(w, opts) {
+            return status;
         }
-        // Amortize the clock read and the cancellation check over a few
-        // hundred iterations.
-        if w.iterations.is_multiple_of(256) {
-            if opts.stop.is_stopped() {
-                return LpStatus::IterLimit;
-            }
-            if let Some(deadline) = opts.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return LpStatus::IterLimit;
-                }
-            }
-        }
-        // Deterministic fault injection: one hit per pivot iteration. A
-        // stall takes the watchdog's abandon path; a spurious timeout takes
-        // the deadline path; a panic unwinds from inside `fire` itself.
-        if let Some(action) = opts.fault.fire(FaultSite::SimplexPivot) {
-            match action {
-                FaultAction::Stall => return LpStatus::Stalled,
-                FaultAction::SpuriousTimeout => return LpStatus::IterLimit,
-                FaultAction::Panic | FaultAction::PerturbIncumbent => {}
-            }
-        }
-        if refactor_due(w, opts, m) {
+        if w.lu.eta_nnz() >= opts.eta_cap(m) {
             refactor(p, w);
         }
         btran_cb(w, cost);
@@ -1133,7 +898,7 @@ fn optimize(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) -> L
         // instance.
         if w.degen_streak == opts.stall_refactor {
             refactor(p, w);
-        } else if w.degen_streak >= opts.stall_abort {
+        } else if w.degen_streak >= STALL_ABORT {
             return LpStatus::Stalled;
         }
 
@@ -1155,7 +920,7 @@ fn optimize(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) -> L
                 let leaving = w.basis[row] as usize;
                 w.at_upper[leaving] = leaves_at_upper;
                 let v = std::mem::take(&mut w.v);
-                apply_pivot(p, w, row, j, &v, enter_val);
+                apply_pivot(w, row, j, &v, enter_val);
                 w.v = v;
             }
         }
@@ -1188,8 +953,8 @@ fn try_warm(
     init_work(p, w, lb, ub);
     // Rollback or refactorization below replaces the basis representation,
     // so no identity is built first; a singular snapshot is abandoned, and
-    // the cold start then resets the engine to the identity.
-    w.engine.select(opts.engine);
+    // the cold start then resets the basis to the identity.
+
     // Install the snapshot: nonbasic rest sides, then the basis itself.
     w.at_upper.copy_from_slice(&snap.at_upper);
     w.basic_row.iter_mut().for_each(|x| *x = -1);
@@ -1197,16 +962,11 @@ fn try_warm(
     for (k, &bv) in w.basis.iter().enumerate() {
         w.basic_row[bv as usize] = k as i32;
     }
-    // Return to the parent's own factor when this engine still holds it:
+    // Return to the parent's own factor when this basis still holds it:
     // the factor at the mark represents exactly the snapshot basis, so only
     // `x_B` has to follow the child's bounds, and the etas it keeps still
-    // count toward the refactorization cadence.
-    let rolled_back = match (&mut w.engine, snap.mark) {
-        (Engine::Sparse(s), Some(mark)) => s.rollback(mark).then(|| s.eta_count()),
-        _ => None,
-    };
-    if let Some(etas) = rolled_back {
-        w.pivots_since_refactor = etas as u64;
+    // count toward the eta-file budget.
+    if snap.mark.is_some_and(|mark| w.lu.rollback(mark)) {
         recompute_xb(p, w);
     } else if !refactor(p, w) {
         // A singular snapshot (possible after aggressive bound fixing)
@@ -1276,31 +1036,10 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
         if pivots >= opts.warm_pivot_cap {
             return DualResult::Abandon;
         }
-        if w.iterations >= opts.max_iterations {
-            return DualResult::Interrupted(LpStatus::IterLimit);
+        if let Some(status) = checkpoint(w, opts) {
+            return DualResult::Interrupted(status);
         }
-        if w.iterations.is_multiple_of(256) {
-            if opts.stop.is_stopped() {
-                return DualResult::Interrupted(LpStatus::IterLimit);
-            }
-            if let Some(deadline) = opts.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return DualResult::Interrupted(LpStatus::IterLimit);
-                }
-            }
-        }
-        // The dual loop is a pivot loop like the primal one, so the chaos
-        // fault site fires here too with the same action mapping.
-        if let Some(action) = opts.fault.fire(FaultSite::SimplexPivot) {
-            match action {
-                FaultAction::Stall => return DualResult::Interrupted(LpStatus::Stalled),
-                FaultAction::SpuriousTimeout => {
-                    return DualResult::Interrupted(LpStatus::IterLimit)
-                }
-                FaultAction::Panic | FaultAction::PerturbIncumbent => {}
-            }
-        }
-        if refactor_due(w, opts, m) {
+        if w.lu.eta_nnz() >= opts.eta_cap(m) {
             refactor(p, w);
             y_current = false;
         }
@@ -1386,7 +1125,7 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
         w.devex[r] = (wr / (vr * vr)).max(1.0);
         w.at_upper[bvr] = above;
         let v = std::mem::take(&mut w.v);
-        apply_pivot(p, w, r, j, &v, enter_val);
+        apply_pivot(w, r, j, &v, enter_val);
         w.v = v;
         let theta = d / alpha;
         for (yi, &ri) in w.y.iter_mut().zip(&w.rho) {
@@ -1397,32 +1136,25 @@ fn dual_restore(p: &Problem, w: &mut Work, cost: &[f64], opts: &SimplexOptions) 
 
 /// Replaces the basic variable of `row` with column `j`, given the
 /// transformed entering column `v = B^{-1} A_j`, updating the basis
-/// representation and bookkeeping.
-fn apply_pivot(p: &Problem, w: &mut Work, row: usize, j: usize, v: &[f64], enter_val: f64) {
+/// representation (one eta) and bookkeeping.
+fn apply_pivot(w: &mut Work, row: usize, j: usize, v: &[f64], enter_val: f64) {
     let leaving = w.basis[row] as usize;
     w.basic_row[leaving] = -1;
     w.basis[row] = j as u32;
     w.basic_row[j] = row as i32;
     w.xb[row] = enter_val;
-    let _ = p;
-    match &mut w.engine {
-        Engine::Dense(d) => d.pivot(row, v),
-        Engine::Sparse(s) => {
-            s.push_eta(row, v);
-            w.eta_pivots += 1;
-        }
-    }
-    w.pivots_since_refactor += 1;
+    w.lu.push_eta(row, v);
+    w.eta_pivots += 1;
 }
 
 /// Rebuilds the basis representation (and `xb`) from the basis columns.
 /// Returns false when the basis is numerically singular, in which case the
-/// previous representation (dense inverse, or LU factor plus etas) stays in
-/// place for the residual check to judge.
+/// previous representation (LU factor plus etas) stays in place for the
+/// residual check to judge.
 fn refactor(p: &Problem, w: &mut Work) -> bool {
     let m = p.m;
     let Work {
-        engine,
+        lu,
         basis,
         art_row,
         art_sign,
@@ -1440,14 +1172,10 @@ fn refactor(p: &Problem, w: &mut Work) -> bool {
         }
     };
     let t0 = std::time::Instant::now();
-    let ok = match engine {
-        Engine::Dense(d) => d.refactor(m, col),
-        Engine::Sparse(s) => s.refactor(m, col),
-    };
+    let ok = lu.refactor(m, col);
     w.factor_nanos += t0.elapsed().as_nanos() as u64;
     if ok {
         recompute_xb(p, w);
-        w.pivots_since_refactor = 0;
         w.refactors += 1;
     }
     ok
@@ -1469,10 +1197,7 @@ fn recompute_xb(p: &Problem, w: &mut Work) {
         }
     }
     let t0 = std::time::Instant::now();
-    match &mut w.engine {
-        Engine::Dense(d) => d.ftran_rhs(&rhs, &mut w.xb),
-        Engine::Sparse(s) => s.ftran_rhs(&rhs, &mut w.xb),
-    }
+    w.lu.ftran_rhs(&rhs, &mut w.xb);
     w.ftran_nanos += t0.elapsed().as_nanos() as u64;
     w.rhs = rhs;
 }
@@ -1538,37 +1263,12 @@ mod tests {
     use super::*;
     use crate::model::{Model, Sense};
 
-    fn opts_for(engine: SimplexEngine) -> SimplexOptions {
-        SimplexOptions {
-            engine,
-            ..Default::default()
-        }
-    }
-
-    fn solve_with(model: &Model, engine: SimplexEngine) -> LpOutcome {
+    /// Solves `model` at its own bounds from a cold start.
+    fn solve_lp(model: &Model) -> LpOutcome {
         let mut sx = Simplex::new(model);
         let lb: Vec<f64> = (0..model.num_vars()).map(|j| model.vars[j].lb).collect();
         let ub: Vec<f64> = (0..model.num_vars()).map(|j| model.vars[j].ub).collect();
-        sx.solve(&lb, &ub, &opts_for(engine))
-    }
-
-    /// Solves under both engines, asserts agreement, returns the sparse
-    /// outcome. All correctness tests below go through this so every
-    /// fixture doubles as a dense-vs-sparse differential check.
-    fn solve_lp(model: &Model) -> LpOutcome {
-        let dense = solve_with(model, SimplexEngine::Dense);
-        let sparse = solve_with(model, SimplexEngine::Sparse);
-        assert_eq!(dense.status, sparse.status, "engine status disagreement");
-        if dense.status == LpStatus::Optimal {
-            assert!(
-                (dense.objective - sparse.objective).abs() < 1e-6,
-                "engine objective disagreement: dense {} vs sparse {}",
-                dense.objective,
-                sparse.objective
-            );
-        }
-        assert_eq!(dense.eta_pivots, 0, "dense engine must not report etas");
-        sparse
+        sx.solve(&lb, &ub, &SimplexOptions::default())
     }
 
     #[test]
@@ -1633,28 +1333,26 @@ mod tests {
         let y = m.num_var(0.0, 8.0, "y");
         m.set_objective(Sense::Minimize, [(x, 1.0), (y, 1.0)]);
         m.add_eq([(x, 1.0), (y, 1.0)], 10.0, "sum");
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            let opts = SimplexOptions {
-                fault: crate::fault::FaultPlan::single(
-                    crate::fault::FaultSite::SimplexPivot,
-                    crate::fault::FaultAction::Stall,
-                    1,
-                ),
-                ..opts_for(engine)
-            };
-            let mut sx = Simplex::new(&m);
-            let out = sx.solve(&[0.0, 0.0], &[8.0, 8.0], &opts);
-            assert_eq!(
-                out.status,
-                LpStatus::Stalled,
-                "{engine:?}: stalled phase 1 must propagate, got {:?}",
-                out.status
-            );
-            // And without the fault the same model solves fine.
-            let ok = sx.solve(&[0.0, 0.0], &[8.0, 8.0], &opts_for(engine));
-            assert_eq!(ok.status, LpStatus::Optimal);
-            assert!((ok.objective - 10.0).abs() < 1e-7);
-        }
+        let opts = SimplexOptions {
+            fault: crate::fault::FaultPlan::single(
+                crate::fault::FaultSite::SimplexPivot,
+                crate::fault::FaultAction::Stall,
+                1,
+            ),
+            ..Default::default()
+        };
+        let mut sx = Simplex::new(&m);
+        let out = sx.solve(&[0.0, 0.0], &[8.0, 8.0], &opts);
+        assert_eq!(
+            out.status,
+            LpStatus::Stalled,
+            "stalled phase 1 must propagate, got {:?}",
+            out.status
+        );
+        // And without the fault the same model solves fine.
+        let ok = sx.solve(&[0.0, 0.0], &[8.0, 8.0], &SimplexOptions::default());
+        assert_eq!(ok.status, LpStatus::Optimal);
+        assert!((ok.objective - 10.0).abs() < 1e-7);
     }
 
     #[test]
@@ -1748,23 +1446,21 @@ mod tests {
     fn workspace_reuse_across_solves() {
         // The same instance solved repeatedly with different bounds must
         // give fresh, correct answers each time.
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            let mut m = Model::new();
-            let x = m.num_var(0.0, 10.0, "x");
-            let y = m.num_var(0.0, 10.0, "y");
-            m.set_objective(Sense::Maximize, [(x, 1.0), (y, 2.0)]);
-            m.add_le([(x, 1.0), (y, 1.0)], 6.0, "cap");
-            let mut sx = Simplex::new(&m);
-            let opts = opts_for(engine);
-            let o1 = sx.solve(&[0.0, 0.0], &[10.0, 10.0], &opts);
-            assert!((o1.objective - 12.0).abs() < 1e-7); // y = 6
-            let o2 = sx.solve(&[0.0, 0.0], &[10.0, 2.0], &opts);
-            assert!((o2.objective - 8.0).abs() < 1e-7); // y = 2, x = 4
-            let o3 = sx.solve(&[5.0, 5.0], &[10.0, 10.0], &opts);
-            assert_eq!(o3.status, LpStatus::Infeasible); // 5 + 5 > 6
-            let o4 = sx.solve(&[0.0, 0.0], &[10.0, 10.0], &opts);
-            assert!((o4.objective - 12.0).abs() < 1e-7);
-        }
+        let mut m = Model::new();
+        let x = m.num_var(0.0, 10.0, "x");
+        let y = m.num_var(0.0, 10.0, "y");
+        m.set_objective(Sense::Maximize, [(x, 1.0), (y, 2.0)]);
+        m.add_le([(x, 1.0), (y, 1.0)], 6.0, "cap");
+        let mut sx = Simplex::new(&m);
+        let opts = SimplexOptions::default();
+        let o1 = sx.solve(&[0.0, 0.0], &[10.0, 10.0], &opts);
+        assert!((o1.objective - 12.0).abs() < 1e-7); // y = 6
+        let o2 = sx.solve(&[0.0, 0.0], &[10.0, 2.0], &opts);
+        assert!((o2.objective - 8.0).abs() < 1e-7); // y = 2, x = 4
+        let o3 = sx.solve(&[5.0, 5.0], &[10.0, 10.0], &opts);
+        assert_eq!(o3.status, LpStatus::Infeasible); // 5 + 5 > 6
+        let o4 = sx.solve(&[0.0, 0.0], &[10.0, 10.0], &opts);
+        assert!((o4.objective - 12.0).abs() < 1e-7);
     }
 
     #[test]
@@ -1772,39 +1468,31 @@ mod tests {
         // Parent LP, snapshot, tighten one bound (exactly the B&B child
         // pattern), warm solve must agree with a cold solve and actually
         // take the warm path.
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            let mut m = Model::new();
-            let x = m.num_var(0.0, 10.0, "x");
-            let y = m.num_var(0.0, 10.0, "y");
-            let z = m.num_var(0.0, 10.0, "z");
-            m.set_objective(Sense::Maximize, [(x, 3.0), (y, 2.0), (z, 4.0)]);
-            m.add_le([(x, 1.0), (y, 1.0), (z, 1.0)], 7.5, "cap");
-            m.add_le([(x, 2.0), (z, 1.0)], 9.0, "mix");
-            let mut sx = Simplex::new(&m);
-            let opts = opts_for(engine);
-            let parent = sx.solve(&[0.0; 3], &[10.0; 3], &opts);
-            assert_eq!(parent.status, LpStatus::Optimal);
-            let snap = sx.basis_snapshot().expect("clean optimal basis");
+        let m = three_var_model();
+        let mut sx = Simplex::new(&m);
+        let opts = SimplexOptions::default();
+        let parent = sx.solve(&[0.0; 3], &[10.0; 3], &opts);
+        assert_eq!(parent.status, LpStatus::Optimal);
+        let snap = sx.basis_snapshot().expect("clean optimal basis");
 
-            // Child: force z <= 3 (tighter than its relaxation value).
-            let child_ub = [10.0, 10.0, 3.0];
-            let warm = sx.solve_warm(&[0.0; 3], &child_ub, &opts, Some(&snap));
-            assert_eq!(warm.status, LpStatus::Optimal);
-            assert_eq!(warm.warm, WarmStart::Taken);
-            let cold = sx.solve(&[0.0; 3], &child_ub, &opts);
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-7,
-                "warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            assert!(
-                warm.iterations <= cold.iterations,
-                "warm restart took more pivots ({}) than cold ({})",
-                warm.iterations,
-                cold.iterations
-            );
-        }
+        // Child: force z <= 3 (tighter than its relaxation value).
+        let child_ub = [10.0, 10.0, 3.0];
+        let warm = sx.solve_warm(&[0.0; 3], &child_ub, &opts, Some(&snap));
+        assert_eq!(warm.status, LpStatus::Optimal);
+        assert_eq!(warm.warm, WarmStart::Taken);
+        let cold = sx.solve(&[0.0; 3], &child_ub, &opts);
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-7,
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+        assert!(
+            warm.iterations <= cold.iterations,
+            "warm restart took more pivots ({}) than cold ({})",
+            warm.iterations,
+            cold.iterations
+        );
     }
 
     /// The `warm_restart_matches_cold_solve` model: a parent snapshot
@@ -1824,7 +1512,7 @@ mod tests {
     fn warm_install_rolls_back_only_to_its_own_factor() {
         let m = three_var_model();
         let child_ub = [10.0, 10.0, 3.0];
-        let sparse = opts_for(SimplexEngine::Sparse);
+        let sparse = SimplexOptions::default();
         let cold = Simplex::new(&m).solve(&[0.0; 3], &child_ub, &sparse);
         let mut sx = Simplex::new(&m);
         assert_eq!(
@@ -1852,14 +1540,7 @@ mod tests {
         sx.solve(&[0.0; 3], &child_ub, &sparse);
         let stale = sx.solve_warm(&[0.0; 3], &child_ub, &sparse, Some(&snap));
         assert_eq!((stale.warm, stale.refactors), (WarmStart::Taken, 1));
-
-        // The dense oracle always refactorizes the snapshot.
-        let dense = opts_for(SimplexEngine::Dense);
-        sx.solve(&[0.0; 3], &[10.0; 3], &dense);
-        let snap = sx.basis_snapshot().expect("clean optimal basis");
-        let child = sx.solve_warm(&[0.0; 3], &child_ub, &dense, Some(&snap));
-        assert_eq!((child.warm, child.refactors), (WarmStart::Taken, 1));
-        for out in [&foreign, &stale, &child] {
+        for out in [&foreign, &stale] {
             assert!(
                 (out.objective - cold.objective).abs() < 1e-7,
                 "{}",
@@ -1872,12 +1553,11 @@ mod tests {
     fn snapshot_after_a_non_optimal_solve_carries_no_mark() {
         let m = three_var_model();
         let mut sx = Simplex::new(&m);
-        let sparse = opts_for(SimplexEngine::Sparse);
-        sx.solve(&[0.0; 3], &[10.0; 3], &sparse);
+        sx.solve(&[0.0; 3], &[10.0; 3], &SimplexOptions::default());
         assert!(sx.basis_snapshot().expect("snapshot").mark.is_some());
         let capped = SimplexOptions {
             max_iterations: 0,
-            ..opts_for(SimplexEngine::Sparse)
+            ..Default::default()
         };
         assert_eq!(
             sx.solve(&[0.0; 3], &[10.0; 3], &capped).status,
@@ -1888,21 +1568,19 @@ mod tests {
 
     #[test]
     fn warm_restart_detects_child_infeasibility() {
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            let mut m = Model::new();
-            let x = m.num_var(0.0, 10.0, "x");
-            let y = m.num_var(0.0, 10.0, "y");
-            m.set_objective(Sense::Minimize, [(x, 1.0), (y, 1.0)]);
-            m.add_ge([(x, 1.0), (y, 1.0)], 8.0, "floor");
-            let mut sx = Simplex::new(&m);
-            let opts = opts_for(engine);
-            let parent = sx.solve(&[0.0; 2], &[10.0; 2], &opts);
-            assert_eq!(parent.status, LpStatus::Optimal);
-            let snap = sx.basis_snapshot().expect("snapshot");
-            // x <= 3 and y <= 3 cannot reach x + y >= 8.
-            let out = sx.solve_warm(&[0.0; 2], &[3.0, 3.0], &opts, Some(&snap));
-            assert_eq!(out.status, LpStatus::Infeasible);
-        }
+        let mut m = Model::new();
+        let x = m.num_var(0.0, 10.0, "x");
+        let y = m.num_var(0.0, 10.0, "y");
+        m.set_objective(Sense::Minimize, [(x, 1.0), (y, 1.0)]);
+        m.add_ge([(x, 1.0), (y, 1.0)], 8.0, "floor");
+        let mut sx = Simplex::new(&m);
+        let opts = SimplexOptions::default();
+        let parent = sx.solve(&[0.0; 2], &[10.0; 2], &opts);
+        assert_eq!(parent.status, LpStatus::Optimal);
+        let snap = sx.basis_snapshot().expect("snapshot");
+        // x <= 3 and y <= 3 cannot reach x + y >= 8.
+        let out = sx.solve_warm(&[0.0; 2], &[3.0, 3.0], &opts, Some(&snap));
+        assert_eq!(out.status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -1925,37 +1603,6 @@ mod tests {
     }
 
     #[test]
-    fn tunable_refactor_cadence_is_honored() {
-        // With refactor_every = 1 every pivot is followed by a rebuild, so
-        // refactors grows with iterations; the stock cadence (400) performs
-        // none on a tiny LP.
-        let mut m = Model::new();
-        let x = m.num_var(0.0, f64::INFINITY, "x");
-        let y = m.num_var(0.0, f64::INFINITY, "y");
-        m.set_objective(Sense::Maximize, [(x, 3.0), (y, 5.0)]);
-        m.add_le([(x, 1.0)], 4.0, "c1");
-        m.add_le([(y, 2.0)], 12.0, "c2");
-        m.add_le([(x, 3.0), (y, 2.0)], 18.0, "c3");
-        let mut sx = Simplex::new(&m);
-        let eager = SimplexOptions {
-            refactor_every: 1,
-            ..Default::default()
-        };
-        let out = sx.solve(&[0.0, 0.0], &[f64::INFINITY, f64::INFINITY], &eager);
-        assert_eq!(out.status, LpStatus::Optimal);
-        assert!(
-            out.refactors >= out.iterations.saturating_sub(1),
-            "eager cadence ignored"
-        );
-        let stock = sx.solve(
-            &[0.0, 0.0],
-            &[f64::INFINITY, f64::INFINITY],
-            &SimplexOptions::default(),
-        );
-        assert_eq!(stock.refactors, 0);
-    }
-
-    #[test]
     fn sparse_engine_counts_eta_pivots() {
         let mut m = Model::new();
         let x = m.num_var(0.0, f64::INFINITY, "x");
@@ -1964,7 +1611,7 @@ mod tests {
         m.add_le([(x, 1.0)], 4.0, "c1");
         m.add_le([(y, 2.0)], 12.0, "c2");
         m.add_le([(x, 3.0), (y, 2.0)], 18.0, "c3");
-        let out = solve_with(&m, SimplexEngine::Sparse);
+        let out = solve_lp(&m);
         assert_eq!(out.status, LpStatus::Optimal);
         assert!(out.eta_pivots > 0, "basis-changing pivots must record etas");
         assert_eq!(out.warm, WarmStart::Cold);

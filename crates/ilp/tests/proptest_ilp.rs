@@ -1,7 +1,9 @@
 //! Property-based validation of the branch-and-bound solver against
-//! brute-force enumeration on randomly generated small integer programs.
+//! brute-force enumeration on randomly generated small integer programs:
+//! the optimum, the dual bound, first-solution mode, warm-started and cold
+//! re-solves, and the continuous relaxation.
 
-use optimod_ilp::{Model, RowSense, Sense, SolveStatus};
+use optimod_ilp::{Model, RowSense, Sense, SimplexOptions, SolveLimits, SolveStatus, Solver};
 use proptest::prelude::*;
 
 /// A randomly generated integer program with small bounded variables.
@@ -19,9 +21,9 @@ fn row_sense() -> impl Strategy<Value = RowSense> {
 }
 
 fn random_ip() -> impl Strategy<Value = RandomIp> {
-    (2usize..=5)
+    (2usize..=6)
         .prop_flat_map(|num_vars| {
-            let bounds = proptest::collection::vec((0i64..=2, 2i64..=4), num_vars).prop_map(
+            let bounds = proptest::collection::vec((0i64..=2, 2i64..=5), num_vars).prop_map(
                 |v| -> Vec<(i64, i64)> { v.into_iter().map(|(a, b)| (a.min(b), b)).collect() },
             );
             let objective = proptest::collection::vec(-4i64..=4, num_vars);
@@ -31,7 +33,7 @@ fn random_ip() -> impl Strategy<Value = RandomIp> {
                     row_sense(),
                     -6i64..=12,
                 ),
-                0..=4,
+                0..=5,
             );
             (Just(num_vars), bounds, objective, proptest::bool::ANY, rows)
         })
@@ -90,12 +92,24 @@ fn brute_force(ip: &RandomIp) -> Option<i64> {
 }
 
 fn build_model(ip: &RandomIp) -> Model {
+    build(ip, true)
+}
+
+/// The program with integer variables, or with continuous ones (its
+/// relaxation).
+fn build(ip: &RandomIp, integral: bool) -> Model {
     let mut m = Model::new();
     let vars: Vec<_> = ip
         .bounds
         .iter()
         .enumerate()
-        .map(|(i, &(lo, hi))| m.int_var(lo as f64, hi as f64, format!("x{i}")))
+        .map(|(i, &(lo, hi))| {
+            if integral {
+                m.int_var(lo as f64, hi as f64, format!("x{i}"))
+            } else {
+                m.num_var(lo as f64, hi as f64, format!("x{i}"))
+            }
+        })
         .collect();
     m.set_objective(
         if ip.maximize {
@@ -168,78 +182,56 @@ proptest! {
             }
         }
     }
-}
 
-/// Continuous relaxations: the LP optimum must never be worse than the IP
-/// optimum of the same data (sanity of the relaxation machinery).
-#[test]
-fn lp_relaxation_dominates_ip() {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(7);
-    for trial in 0..200 {
-        let n = rng.gen_range(2..=5);
-        let ip = RandomIp {
-            num_vars: n,
-            bounds: (0..n).map(|_| (0, rng.gen_range(2..=4))).collect(),
-            objective: (0..n).map(|_| rng.gen_range(-4..=4)).collect(),
-            maximize: rng.gen_bool(0.5),
-            rows: (0..rng.gen_range(1..=4))
-                .map(|_| {
-                    (
-                        (0..n).map(|_| rng.gen_range(-3..=3)).collect(),
-                        [RowSense::Le, RowSense::Ge, RowSense::Eq][rng.gen_range(0..3)],
-                        rng.gen_range(-6..=12),
-                    )
-                })
-                .collect(),
-        };
-        let Some(ip_best) = brute_force(&ip) else {
-            continue;
-        };
-        // Relax: same model with continuous variables.
-        let mut m = Model::new();
-        let vars: Vec<_> = ip
-            .bounds
-            .iter()
-            .enumerate()
-            .map(|(i, &(lo, hi))| m.num_var(lo as f64, hi as f64, format!("x{i}")))
-            .collect();
-        m.set_objective(
-            if ip.maximize {
-                Sense::Maximize
+    /// Warm-started re-solves must not change integer answers: branch and
+    /// bound with warm starts and with `warm_start: false` both reach the
+    /// brute-force optimum (or both prove infeasibility).
+    #[test]
+    fn warm_and_cold_resolves_match_brute_force(ip in random_ip()) {
+        let model = build_model(&ip);
+        let expected = brute_force(&ip);
+        let cold_opts = SimplexOptions { warm_start: false, ..SimplexOptions::default() };
+        for warm_start in [true, false] {
+            let solver = Solver::new(SolveLimits::default());
+            let out = if warm_start {
+                solver.solve(&model)
             } else {
-                Sense::Minimize
-            },
-            vars.iter().zip(&ip.objective).map(|(&v, &c)| (v, c as f64)),
-        );
-        for (i, (coeffs, sense, rhs)) in ip.rows.iter().enumerate() {
-            m.add_row(
-                vars.iter().zip(coeffs).map(|(&v, &c)| (v, c as f64)),
-                *sense,
-                *rhs as f64,
-                format!("r{i}"),
-            );
+                solver.with_simplex_options(cold_opts.clone()).solve(&model)
+            };
+            match expected {
+                None => prop_assert_eq!(out.status, SolveStatus::Infeasible, "warm_start {}", warm_start),
+                Some(best) => {
+                    prop_assert_eq!(out.status, SolveStatus::Optimal, "warm_start {}", warm_start);
+                    prop_assert!((out.objective - best as f64).abs() < 1e-6,
+                        "warm_start {}: solver found {} but brute force found {}",
+                        warm_start, out.objective, best);
+                }
+            }
+            if !warm_start {
+                prop_assert_eq!(out.stats.warm_starts, 0);
+            }
         }
-        let out = m.solve();
-        assert_eq!(
-            out.status,
-            SolveStatus::Optimal,
-            "trial {trial}: LP must be feasible when IP is"
-        );
+    }
+
+    /// The continuous relaxation: when the integer program is feasible the
+    /// LP is optimal at a point `check_feasible` accepts, and its optimum
+    /// is never worse than the brute-force integer optimum.
+    #[test]
+    fn lp_relaxation_dominates_ip(ip in random_ip()) {
+        let Some(ip_best) = brute_force(&ip) else {
+            return Ok(());
+        };
+        let relaxed = build(&ip, false);
+        let out = relaxed.solve();
+        prop_assert_eq!(out.status, SolveStatus::Optimal, "LP must be feasible when IP is");
+        prop_assert!(relaxed.check_feasible(&out.values, 1e-6).is_none(),
+            "LP returned an infeasible point: {:?}", out.values);
         if ip.maximize {
-            assert!(
-                out.objective >= ip_best as f64 - 1e-6,
-                "trial {trial}: LP {} < IP {}",
-                out.objective,
-                ip_best
-            );
+            prop_assert!(out.objective >= ip_best as f64 - 1e-6,
+                "LP {} < IP {}", out.objective, ip_best);
         } else {
-            assert!(
-                out.objective <= ip_best as f64 + 1e-6,
-                "trial {trial}: LP {} > IP {}",
-                out.objective,
-                ip_best
-            );
+            prop_assert!(out.objective <= ip_best as f64 + 1e-6,
+                "LP {} > IP {}", out.objective, ip_best);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Stress tests for the sparse basis engine on degenerate, rank-deficient,
+//! Stress tests for the sparse basis on degenerate, rank-deficient,
 //! and stall-prone inputs: singular-basis recovery during refactorization,
 //! eta-file growth bounds, warm-start fallback behaviour, and warm
 //! sequences that roll the eta file back to a parent's factor.
@@ -8,17 +8,10 @@
 //! to the implementation in `src/factor.rs`.
 
 use optimod_ilp::{
-    FaultAction, FaultPlan, FaultSite, LpOutcome, LpStatus, Model, Sense, Simplex, SimplexEngine,
-    SimplexOptions, WarmStart,
+    FaultAction, FaultPlan, FaultSite, LpOutcome, LpStatus, Model, Sense, Simplex, SimplexOptions,
+    WarmStart,
 };
 use proptest::prelude::*;
-
-fn sparse_opts() -> SimplexOptions {
-    SimplexOptions {
-        engine: SimplexEngine::Sparse,
-        ..Default::default()
-    }
-}
 
 /// Solves `model` at its native bounds with the given options.
 fn solve(model: &Model, bounds: &[(f64, f64)], opts: &SimplexOptions) -> LpOutcome {
@@ -74,49 +67,44 @@ fn stall_prone(n: usize) -> (Model, Vec<(f64, f64)>) {
     (m, vec![(0.0, inf); n])
 }
 
+/// The transportation optimum, checked by hand: ship x00 = 6, x02 = 4,
+/// x11 = 7 and x12 = 1 at cost 24 + 36 + 21 + 8 = 89; the duals
+/// u = (0, −1), v = (4, 4, 9) price x01 and x10 at +2, so no pivot helps.
+const TRANSPORT_OPTIMUM: f64 = 89.0;
+
 #[test]
-fn rank_deficient_equalities_solve_on_both_engines() {
+fn rank_deficient_equalities_reach_the_hand_checked_optimum() {
     let (m, bounds) = rank_deficient_transport();
-    let dense = solve(
-        &m,
-        &bounds,
-        &SimplexOptions {
-            engine: SimplexEngine::Dense,
-            ..Default::default()
-        },
-    );
-    let sparse = solve(&m, &bounds, &sparse_opts());
-    assert_eq!(dense.status, LpStatus::Optimal);
-    assert_eq!(sparse.status, LpStatus::Optimal);
+    let out = solve(&m, &bounds, &SimplexOptions::default());
+    assert_eq!(out.status, LpStatus::Optimal);
     assert!(
-        (dense.objective - sparse.objective).abs() < 1e-6,
-        "dense {} vs sparse {}",
-        dense.objective,
-        sparse.objective
+        (out.objective - TRANSPORT_OPTIMUM).abs() < 1e-6,
+        "{}",
+        out.objective
     );
 }
 
 #[test]
 fn refactor_every_pivot_survives_rank_deficiency() {
-    // Refactorizing from scratch after every pivot exercises the LU path on
-    // every intermediate basis of a rank-deficient system; any singular
-    // intermediate basis must be recovered (kept factor + forced cadence),
-    // not propagated into a wrong answer.
+    // An eta budget of one stored entry refactorizes from scratch after
+    // every pivot, which exercises the LU path on every intermediate basis
+    // of a rank-deficient system; any singular intermediate basis must be
+    // recovered (kept factor), not propagated into a wrong answer.
     let (m, bounds) = rank_deficient_transport();
-    let stock = solve(&m, &bounds, &sparse_opts());
+    let stock = solve(&m, &bounds, &SimplexOptions::default());
     let paranoid = solve(
         &m,
         &bounds,
         &SimplexOptions {
-            refactor_every: 1,
-            ..sparse_opts()
+            eta_nnz_limit: 1,
+            ..Default::default()
         },
     );
     assert_eq!(paranoid.status, LpStatus::Optimal);
-    assert!((paranoid.objective - stock.objective).abs() < 1e-6);
+    assert!((paranoid.objective - TRANSPORT_OPTIMUM).abs() < 1e-6);
     assert!(
         paranoid.refactors > stock.refactors,
-        "per-pivot cadence should refactor more ({} vs {})",
+        "per-pivot refactorization should refactor more ({} vs {})",
         paranoid.refactors,
         stock.refactors
     );
@@ -124,17 +112,17 @@ fn refactor_every_pivot_survives_rank_deficiency() {
 
 #[test]
 fn eta_file_growth_is_bounded_by_nnz_limit() {
-    // A tiny eta nonzero budget must cap the product file: the engine
+    // A tiny eta nonzero budget must cap the product file: the solver
     // trades etas for refactorizations instead of letting the file grow
     // with the pivot count, and the answer cannot move.
     let (m, bounds) = stall_prone(24);
-    let stock = solve(&m, &bounds, &sparse_opts());
+    let stock = solve(&m, &bounds, &SimplexOptions::default());
     let capped = solve(
         &m,
         &bounds,
         &SimplexOptions {
             eta_nnz_limit: 8,
-            ..sparse_opts()
+            ..Default::default()
         },
     );
     assert_eq!(stock.status, LpStatus::Optimal);
@@ -160,7 +148,7 @@ fn stall_prone_kernel_terminates_under_tight_watchdog() {
         &SimplexOptions {
             degen_limit: 4,
             stall_refactor: 16,
-            ..sparse_opts()
+            ..Default::default()
         },
     );
     assert_eq!(out.status, LpStatus::Optimal);
@@ -183,7 +171,7 @@ fn warm_pivot_cap_zero_abandons_to_cold() {
 
     let opts = SimplexOptions {
         warm_pivot_cap: 0,
-        ..sparse_opts()
+        ..Default::default()
     };
     let mut sx = Simplex::new(&m);
     let parent = sx.solve(&[0.0, 0.0], &[inf, inf], &opts);
@@ -199,7 +187,7 @@ fn warm_pivot_cap_zero_abandons_to_cold() {
         "zero pivot budget must abandon, not fail"
     );
 
-    let cold = solve(&m, &[(0.0, 1.0), (0.0, inf)], &sparse_opts());
+    let cold = solve(&m, &[(0.0, 1.0), (0.0, inf)], &SimplexOptions::default());
     assert!((child.objective - cold.objective).abs() < 1e-6);
 }
 
@@ -215,7 +203,7 @@ fn warm_start_with_fixed_variable_child() {
     m.add_le([(x, 1.0), (y, 1.0), (z, 1.0)], 6.0, "sum");
     m.add_le([(x, 2.0), (y, 1.0)], 7.0, "mix");
 
-    let opts = sparse_opts();
+    let opts = SimplexOptions::default();
     let mut sx = Simplex::new(&m);
     let parent = sx.solve(&[0.0; 3], &[4.0; 3], &opts);
     assert_eq!(parent.status, LpStatus::Optimal);
@@ -315,53 +303,50 @@ proptest! {
 
     /// Parent → child A → A's child → child B, each warm-started the way
     /// branch and bound does it: B starts from the parent's snapshot after
-    /// A's subtree pushed etas past its mark, so under the sparse engine B
-    /// rolls the eta file back. Every warm solve must agree with a cold
-    /// solve of the same box on status, and on the objective within 1e-6.
+    /// A's subtree pushed etas past its mark, so B rolls the eta file back.
+    /// Every warm solve must agree with a cold solve of the same box on
+    /// status, and on the objective within 1e-6.
     #[test]
     fn rollback_sequence_matches_cold_solves(case in rollback_case()) {
         let model = case.model();
         let [a, a1, b] = [case.children[0], case.children[1], case.children[2]];
-        for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-            let opts = SimplexOptions { engine, ..Default::default() };
-            let check = |label: &str, out: &LpOutcome, changes: &[(usize, i64, bool)]| {
-                let (lb, ub) = case.bounds(changes);
-                let cold = Simplex::new(&model).solve(&lb, &ub, &opts);
-                prop_assert_eq!(out.status, cold.status, "{:?} {}", engine, label);
-                if cold.status == LpStatus::Optimal {
-                    prop_assert!(
-                        (out.objective - cold.objective).abs() < 1e-6,
-                        "{:?} {}: warm {} vs cold {}",
-                        engine,
-                        label,
-                        out.objective,
-                        cold.objective
-                    );
-                }
-                Ok(())
-            };
-            let mut sx = Simplex::new(&model);
-            let (lb, ub) = case.bounds(&[]);
-            let parent = sx.solve(&lb, &ub, &opts);
-            if parent.status != LpStatus::Optimal {
-                continue;
+        let opts = SimplexOptions::default();
+        let check = |label: &str, out: &LpOutcome, changes: &[(usize, i64, bool)]| {
+            let (lb, ub) = case.bounds(changes);
+            let cold = Simplex::new(&model).solve(&lb, &ub, &opts);
+            prop_assert_eq!(out.status, cold.status, "{}", label);
+            if cold.status == LpStatus::Optimal {
+                prop_assert!(
+                    (out.objective - cold.objective).abs() < 1e-6,
+                    "{}: warm {} vs cold {}",
+                    label,
+                    out.objective,
+                    cold.objective
+                );
             }
-            let parent_snap = sx.basis_snapshot().expect("optimal parent basis");
-
-            let (lb, ub) = case.bounds(&[a]);
-            let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
-            check("child A", &out, &[a])?;
-            if out.status == LpStatus::Optimal {
-                let snap = sx.basis_snapshot().expect("optimal child basis");
-                let (lb, ub) = case.bounds(&[a, a1]);
-                let out = sx.solve_warm(&lb, &ub, &opts, Some(&snap));
-                check("grandchild", &out, &[a, a1])?;
-            }
-
-            let (lb, ub) = case.bounds(&[b]);
-            let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
-            check("child B", &out, &[b])?;
+            Ok(())
+        };
+        let mut sx = Simplex::new(&model);
+        let (lb, ub) = case.bounds(&[]);
+        let parent = sx.solve(&lb, &ub, &opts);
+        if parent.status != LpStatus::Optimal {
+            return Ok(());
         }
+        let parent_snap = sx.basis_snapshot().expect("optimal parent basis");
+
+        let (lb, ub) = case.bounds(&[a]);
+        let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
+        check("child A", &out, &[a])?;
+        if out.status == LpStatus::Optimal {
+            let snap = sx.basis_snapshot().expect("optimal child basis");
+            let (lb, ub) = case.bounds(&[a, a1]);
+            let out = sx.solve_warm(&lb, &ub, &opts, Some(&snap));
+            check("grandchild", &out, &[a, a1])?;
+        }
+
+        let (lb, ub) = case.bounds(&[b]);
+        let out = sx.solve_warm(&lb, &ub, &opts, Some(&parent_snap));
+        check("child B", &out, &[b])?;
     }
 }
 
@@ -388,40 +373,35 @@ fn interrupted_warm_dual_restart_is_never_infeasible() {
     m.add_le([(x[1], 1.0), (x[3], 1.0)], 7.0, "c4");
     let lb = [0.0; 5];
     let child_ub = [5.0, 1.0, 5.0, 1.0, 5.0];
-    for engine in [SimplexEngine::Dense, SimplexEngine::Sparse] {
-        let clean_opts = SimplexOptions {
-            engine,
-            ..Default::default()
-        };
-        let solve_child = |opts: &SimplexOptions| {
-            let mut sx = Simplex::new(&m);
-            let parent = sx.solve(&lb, &[5.0; 5], &clean_opts);
-            assert_eq!(parent.status, LpStatus::Optimal);
-            let snap = sx.basis_snapshot().expect("optimal parent basis");
-            sx.solve_warm(&lb, &child_ub, opts, Some(&snap))
-        };
-        let clean = solve_child(&clean_opts);
-        assert_eq!(
-            (clean.status, clean.warm),
-            (LpStatus::Optimal, WarmStart::Taken)
-        );
-        assert!(clean.iterations >= 2, "the child must need dual pivots");
-        for action in [FaultAction::Stall, FaultAction::SpuriousTimeout] {
-            for nth in 1..=clean.iterations + 1 {
-                let fault = FaultPlan::single(FaultSite::SimplexPivot, action, nth);
-                let out = solve_child(&SimplexOptions {
-                    fault: fault.clone(),
-                    ..clean_opts.clone()
-                });
-                let expect = match (fault.fired_count(), action) {
-                    (0, _) => LpStatus::Optimal,
-                    (_, FaultAction::Stall) => LpStatus::Stalled,
-                    _ => LpStatus::IterLimit,
-                };
-                assert_eq!(out.status, expect, "{engine:?} {action:?} at pivot {nth}");
-                if expect == LpStatus::Optimal {
-                    assert!((out.objective - clean.objective).abs() < 1e-9);
-                }
+    let clean_opts = SimplexOptions::default();
+    let solve_child = |opts: &SimplexOptions| {
+        let mut sx = Simplex::new(&m);
+        let parent = sx.solve(&lb, &[5.0; 5], &clean_opts);
+        assert_eq!(parent.status, LpStatus::Optimal);
+        let snap = sx.basis_snapshot().expect("optimal parent basis");
+        sx.solve_warm(&lb, &child_ub, opts, Some(&snap))
+    };
+    let clean = solve_child(&clean_opts);
+    assert_eq!(
+        (clean.status, clean.warm),
+        (LpStatus::Optimal, WarmStart::Taken)
+    );
+    assert!(clean.iterations >= 2, "the child must need dual pivots");
+    for action in [FaultAction::Stall, FaultAction::SpuriousTimeout] {
+        for nth in 1..=clean.iterations + 1 {
+            let fault = FaultPlan::single(FaultSite::SimplexPivot, action, nth);
+            let out = solve_child(&SimplexOptions {
+                fault: fault.clone(),
+                ..clean_opts.clone()
+            });
+            let expect = match (fault.fired_count(), action) {
+                (0, _) => LpStatus::Optimal,
+                (_, FaultAction::Stall) => LpStatus::Stalled,
+                _ => LpStatus::IterLimit,
+            };
+            assert_eq!(out.status, expect, "{action:?} at pivot {nth}");
+            if expect == LpStatus::Optimal {
+                assert!((out.objective - clean.objective).abs() < 1e-9);
             }
         }
     }

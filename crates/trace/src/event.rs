@@ -161,8 +161,7 @@ pub enum TraceEvent {
         iterations: u64,
         /// Basis refactorizations performed during the solve.
         refactors: u64,
-        /// Product-form eta updates absorbed by the sparse basis engine
-        /// (0 under the dense engine).
+        /// Product-form eta updates absorbed by the basis.
         etas: u64,
         /// Warm-start provenance: `"cold"`, `"warm"` (restarted from a
         /// parent basis), or `"abandoned"` (restart attempted, fell back

@@ -166,17 +166,19 @@ echo "==> daemon cache-hit latency gate"
 # >= 100x.
 cargo run --release -q -p optimod-bench --bin bench_daemon
 
-echo "==> dense-vs-sparse engine A/B differential (end to end)"
-# Scheduling a golden-corpus slice under OPTIMOD_SIMPLEX=dense and
-# =sparse must certify identical IIs and objectives; the LP/IP-level
-# proptest lives in crates/ilp/tests/ab_engines.rs and runs with the
-# workspace suite above.
-cargo test -q --test ab_engines_end_to_end
+echo "==> sparse basis vs dense-inverse oracle, solver vs brute force"
+# The sparse LU basis against the explicit dense inverse through random
+# histories of refactorizations, eta pivots, marks, rollbacks and resets
+# (every FTRAN and BTRAN compared after every step), then branch and
+# bound, warm-started and cold, and the LP relaxation against brute-force
+# enumeration of random small integer programs.
+cargo test -q --release -p optimod-ilp --lib dense_oracle_matches_sparse_basis
+cargo test -q --release -p optimod-ilp --test proptest_ilp
 
-echo "==> per-node LP re-solve benchmark (sparse + warm-start gate)"
+echo "==> per-node LP re-solve benchmark (warm-start gate)"
 # Simulated branch-and-bound children on generated loops (N >= 40):
-# geometric-mean dense-cold -> sparse-warm re-solve speedup must stay
-# above the pinned non-regression ratio (2x).
+# geometric-mean cold -> warm re-solve speedup must stay above the pinned
+# non-regression ratio (2x).
 cargo run --release -q -p optimod-bench --bin bench_simplex
 
 echo "==> null-sink trace overhead (fig2 micro-run)"
